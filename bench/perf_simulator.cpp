@@ -4,7 +4,7 @@
 // program execution as a function of problem size and schedule kind. The
 // simulator works at inner-segment granularity, so costs scale with the
 // number of segments (N x nests), not iterations (N^2) — this benchmark
-// pins that property down.
+// pins that property down, also for segments that cross clusters.
 //
 //===----------------------------------------------------------------------===//
 
@@ -78,7 +78,8 @@ void BM_SimulatePipelined(benchmark::State &State) {
 }
 
 void BM_SimulateMisaligned(benchmark::State &State) {
-  // Heterogeneous segments force the line-by-line path: the worst case.
+  // Rows laid out by column block: every segment crosses every cluster
+  // and is split at the block boundaries, O(clusters) per segment.
   int64_t N = State.range(0);
   Program P = rowSweep(N);
   MachineParams M;
@@ -98,8 +99,8 @@ void BM_SimulateMisaligned(benchmark::State &State) {
 BENCHMARK(BM_SimulateForall)->Arg(128)->Arg(256)->Arg(512)->Arg(1024)
     ->Unit(benchmark::kMillisecond)->Complexity();
 BENCHMARK(BM_SimulatePipelined)->Arg(128)->Arg(256)->Arg(512)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)->Complexity();
 BENCHMARK(BM_SimulateMisaligned)->Arg(128)->Arg(256)->Arg(512)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)->Complexity();
 
 BENCHMARK_MAIN();

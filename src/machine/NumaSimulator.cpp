@@ -2,13 +2,15 @@
 
 #include "machine/NumaSimulator.h"
 
+#include "support/CheckedInt.h"
 #include "support/Diagnostics.h"
 #include "support/FailPoint.h"
 
 #include <algorithm>
-#include <functional>
 #include <cmath>
+#include <exception>
 #include <sstream>
+#include <tuple>
 
 using namespace alp;
 
@@ -40,32 +42,27 @@ NumaSimulator::NumaSimulator(const Program &P, const MachineParams &M)
 
 void NumaSimulator::setPlacement(unsigned ArrayId, unsigned NestId,
                                  ArrayPlacement Placement) {
-  PlacementAt[{ArrayId, NestId}] = Placement;
+  Cfg.PlacementAt[{ArrayId, NestId}] = Placement;
 }
 
 void NumaSimulator::setStaticPlacement(unsigned ArrayId,
                                        ArrayPlacement Placement) {
-  InitialPlacement[ArrayId] = Placement;
+  Cfg.InitialPlacement[ArrayId] = Placement;
   for (const LoopNest &Nest : P.Nests)
-    PlacementAt[{ArrayId, Nest.Id}] = Placement;
+    Cfg.PlacementAt[{ArrayId, Nest.Id}] = Placement;
 }
 
 void NumaSimulator::setInitialPlacement(unsigned ArrayId,
                                         ArrayPlacement Placement) {
-  InitialPlacement[ArrayId] = Placement;
+  Cfg.InitialPlacement[ArrayId] = Placement;
 }
 
 void NumaSimulator::setSchedule(unsigned NestId, NestSchedule Schedule) {
-  Schedules[NestId] = Schedule;
+  Cfg.Schedules[NestId] = Schedule;
 }
 
 void NumaSimulator::setCommSchedule(CommSchedule Schedule) {
-  CommSched = std::move(Schedule);
-}
-
-unsigned NumaSimulator::clusters() const {
-  return std::max(1u, (M.NumProcs + M.ProcsPerCluster - 1) /
-                          M.ProcsPerCluster);
+  Cfg.CommSched = std::move(Schedule);
 }
 
 unsigned NumaSimulator::clusterOfProc(unsigned Proc) const {
@@ -73,233 +70,428 @@ unsigned NumaSimulator::clusterOfProc(unsigned Proc) const {
 }
 
 //===----------------------------------------------------------------------===//
-// Bounds and placement
+// Integer costing data
 //===----------------------------------------------------------------------===//
 
 namespace {
 
+/// Overflow anywhere in index or bound arithmetic reports as the exact
+/// rational layer would: a recoverable RationalOverflow.
+constexpr const char *Arith = "rational arithmetic";
+
+int64_t floorDiv(int64_t A, int64_t B) {
+  int64_t Q = A / B;
+  return A % B != 0 && (A < 0) != (B < 0) ? Q - 1 : Q;
+}
+
 int64_t ceilDiv(int64_t A, int64_t B) {
-  return A >= 0 ? (A + B - 1) / B : -((-A) / B);
+  int64_t Q = A / B;
+  return A % B != 0 && (A < 0) == (B < 0) ? Q + 1 : Q;
 }
 
 int64_t rationalFloor(const Rational &R) {
-  int64_t Q = R.num() / R.den();
-  if (R.num() % R.den() != 0 && R.num() < 0)
-    --Q;
-  return Q;
+  return floorDiv(R.num(), R.den());
 }
 
-int64_t rationalCeil(const Rational &R) {
-  int64_t Q = R.num() / R.den();
-  if (R.num() % R.den() != 0 && R.num() > 0)
-    ++Q;
-  return Q;
+/// (Coeffs . X + Const) / Den over a nest's loop indices X, with integer
+/// coefficients and Den > 0: an access-map row or a loop-bound term with
+/// its symbolic constant evaluated once per nest.
+struct IntAffine {
+  SmallVec<int64_t, 8> Coeffs;
+  int64_t Const = 0;
+  int64_t Den = 1;
+  /// An overflow while preparing the row. It is rethrown where the row is
+  /// first evaluated, so a row the walk never reaches cannot fail the run.
+  std::exception_ptr Failed;
+
+  /// Normalizes (sum_k Coeff(k) x_k) + Const under \p Bindings.
+  template <typename CoeffFn>
+  IntAffine(unsigned N, CoeffFn Coeff, const SymAffine &Const,
+            const std::map<std::string, Rational> &Bindings) {
+    try {
+      Rational C = Const.evaluate(Bindings);
+      Den = C.den();
+      for (unsigned K = 0; K != N; ++K)
+        Den = lcm64(Den, Coeff(K).den());
+      Coeffs.resize(N);
+      for (unsigned K = 0; K != N; ++K)
+        Coeffs[K] =
+            checkedMul64(Coeff(K).num(), Den / Coeff(K).den(), Arith);
+      this->Const = checkedMul64(C.num(), Den / C.den(), Arith);
+    } catch (const AlpException &) {
+      Failed = std::current_exception();
+    }
+  }
+
+  int64_t numerator(const int64_t *X) const {
+    if (Failed)
+      std::rethrow_exception(Failed);
+    int64_t Sum = 0;
+    for (unsigned K = 0, E = Coeffs.size(); K != E; ++K)
+      if (Coeffs[K] != 0)
+        Sum = checkedAdd64(Sum, checkedMul64(Coeffs[K], X[K], Arith), Arith);
+    return checkedAdd64(Sum, Const, Arith);
+  }
+  int64_t floorAt(const int64_t *X) const {
+    int64_t N = numerator(X);
+    return Den == 1 ? N : floorDiv(N, Den);
+  }
+  int64_t ceilAt(const int64_t *X) const {
+    int64_t N = numerator(X);
+    return Den == 1 ? N : ceilDiv(N, Den);
+  }
+};
+
+/// Accesses per cache line of an access stepping \p Stride through a
+/// row-major array of \p Extents, or 0 when the step does not move. Only a
+/// step shorter than one line needs its exact size, so the row-major
+/// stride is formed in 128 bits and saturates instead of overflowing: a
+/// step beyond 64 bits is one line per access.
+int64_t elemsPerLine(const SmallVec<int64_t, 4> &Stride,
+                     const SmallVec<int64_t, 4> &Extents, unsigned ElemBytes,
+                     unsigned LineBytes) {
+  constexpr __int128 Cap = static_cast<__int128>(1) << 100;
+  __int128 Lin = 0, Mult = 1;
+  for (unsigned D = Stride.size(); D-- > 0;) {
+    Lin = std::clamp<__int128>(Lin + Stride[D] * Mult, -Cap, Cap);
+    Mult = std::min<__int128>(Mult * Extents[D], INT64_MAX);
+  }
+  __int128 Abs = Lin < 0 ? -Lin : Lin;
+  if (Abs == 0 || ElemBytes == 0)
+    return 0;
+  if (Abs >= LineBytes)
+    return 1;
+  int64_t Bytes = static_cast<int64_t>(Abs) * ElemBytes;
+  return std::max<int64_t>(1, LineBytes / Bytes);
 }
 
 } // namespace
 
-std::pair<int64_t, int64_t>
-NumaSimulator::loopBounds(const LoopNest &Nest, unsigned Level,
-                          const std::vector<int64_t> &Outer,
-                          const RunState &S) const {
-  Vector Iter(Nest.depth());
-  for (unsigned I = 0; I != Nest.depth() && I < Outer.size(); ++I)
-    Iter[I] = Rational(Outer[I]);
-  int64_t Lo = INT64_MIN, Hi = INT64_MAX;
-  for (const BoundTerm &T : Nest.Loops[Level].Lower)
-    Lo = std::max(Lo, rationalCeil(T.evaluate(Iter, S.Bindings)));
-  for (const BoundTerm &T : Nest.Loops[Level].Upper)
-    Hi = std::min(Hi, rationalFloor(T.evaluate(Iter, S.Bindings)));
-  return {Lo, Hi};
+/// One array access of a nest, ready for segment costing.
+struct NumaSimulator::AccessPlan {
+  SmallVec<IntAffine, 4> Rows;  ///< Start index per array dimension.
+  SmallVec<int64_t, 4> Stride;  ///< Array-space step of the innermost loop.
+  SmallVec<int64_t, 4> Extents; ///< Integer extent per array dimension.
+  ArrayPlacement::Kind Kind = ArrayPlacement::Kind::LinearFill;
+  unsigned Dim = 0;   ///< BlockedDim: the distributed dimension ...
+  int64_t Block = 1;  ///< ... and its per-cluster block.
+  double FillDiv = 1; ///< LinearFill: elements per cluster (>= 1).
+  unsigned Clusters = 1;
+  /// Accesses per cache line; 0 when the access does not move (a
+  /// zero-stride segment touches one line however long it is).
+  int64_t ElemsPerLine = 0;
+  /// Every stride has one sign, so the linear-fill home is monotone along
+  /// the segment.
+  bool Monotone = true;
+  /// An overflow while preparing the line stride, rethrown on first use.
+  std::exception_ptr Failed;
+
+  /// Cluster holding element \p Index (a Replicated array never asks).
+  unsigned homeOf(const int64_t *Index) const {
+    if (Kind == ArrayPlacement::Kind::BlockedDim)
+      return static_cast<unsigned>(
+          std::clamp<int64_t>(Index[Dim], 0, Extents[Dim] - 1) / Block);
+    return fillHome([&](unsigned D) { return Index[D]; });
+  }
+
+  /// LinearFill: row-major offset -> page -> cluster in fill order; pages
+  /// fill the active clusters evenly in address order. An offset beyond
+  /// 64 bits (no machine could hold such an array) saturates.
+  template <typename IndexFn> unsigned fillHome(IndexFn Index) const {
+    __int128 Offset = 0;
+    for (unsigned D = 0, E = Extents.size(); D != E; ++D)
+      Offset = std::min<__int128>(Offset * Extents[D] +
+                                      std::clamp<int64_t>(Index(D), 0,
+                                                          Extents[D] - 1),
+                                  UINT64_MAX);
+    unsigned C = static_cast<unsigned>(static_cast<double>(Offset) / FillDiv);
+    return std::min(C, Clusters - 1);
+  }
+};
+
+/// Everything fixed while one nest runs.
+struct NumaSimulator::NestPlan {
+  unsigned Depth = 0;
+  std::vector<std::vector<IntAffine>> Lower, Upper; ///< Per loop level.
+  struct StmtPlan {
+    double Work;
+    unsigned FirstAccess, EndAccess;
+  };
+  std::vector<StmtPlan> Stmts;
+  std::vector<AccessPlan> Accesses;
+
+  /// Integer bounds of loop \p Level given the loop values \p Outer.
+  std::pair<int64_t, int64_t> bounds(unsigned Level,
+                                     const int64_t *Outer) const {
+    int64_t Lo = INT64_MIN, Hi = INT64_MAX;
+    for (const IntAffine &T : Lower[Level])
+      Lo = std::max(Lo, T.ceilAt(Outer));
+    for (const IntAffine &T : Upper[Level])
+      Hi = std::min(Hi, T.floorAt(Outer));
+    return {Lo, Hi};
+  }
+};
+
+void NumaSimulator::rebind(RunState &S) {
+  for (ArrayShape &Sh : S.Shapes)
+    Sh.Valid = false;
 }
 
-unsigned NumaSimulator::homeCluster(unsigned ArrayId,
-                                    const ArrayPlacement &Placement,
-                                    const std::vector<int64_t> &Index,
-                                    const RunState &S) const {
-  unsigned ActiveClusters = std::max(
-      1u, (S.Procs + M.ProcsPerCluster - 1) / M.ProcsPerCluster);
+const NumaSimulator::ArrayShape &
+NumaSimulator::shapeOf(unsigned ArrayId, RunState &S) const {
+  ArrayShape &Sh = S.Shapes[ArrayId];
+  if (Sh.Valid)
+    return Sh;
   const ArraySymbol &A = P.array(ArrayId);
-  switch (Placement.PKind) {
-  case ArrayPlacement::Kind::Replicated:
-    return UINT32_MAX; // Sentinel: every cluster has a copy.
-  case ArrayPlacement::Kind::BlockedDim: {
-    unsigned Dim = std::min<unsigned>(Placement.Dim, A.rank() - 1);
-    Rational Ext = A.DimSizes[Dim].evaluate(S.Bindings);
-    int64_t Extent = std::max<int64_t>(rationalFloor(Ext), 1);
-    int64_t Block = ceilDiv(Extent, ActiveClusters);
-    int64_t I = std::clamp<int64_t>(Index[Dim], 0, Extent - 1);
-    return static_cast<unsigned>(I / std::max<int64_t>(Block, 1));
+  Sh.Extents.resize(A.rank());
+  Sh.Elems = 1.0;
+  for (unsigned D = 0; D != A.rank(); ++D) {
+    Rational Ext = A.DimSizes[D].evaluate(S.Bindings);
+    Sh.Extents[D] = std::max<int64_t>(rationalFloor(Ext), 1);
+    Sh.Elems *= std::max<double>(
+        static_cast<double>(Ext.num()) / static_cast<double>(Ext.den()), 1.0);
   }
-  case ArrayPlacement::Kind::LinearFill: {
-    // Row-major linear offset -> page -> cluster in fill order.
-    int64_t Offset = 0;
-    for (unsigned D = 0; D != A.rank(); ++D) {
-      Rational Ext = A.DimSizes[D].evaluate(S.Bindings);
-      int64_t Extent = std::max<int64_t>(rationalFloor(Ext), 1);
-      Offset = Offset * Extent + std::clamp<int64_t>(Index[D], 0, Extent - 1);
+  Sh.Valid = true;
+  return Sh;
+}
+
+NumaSimulator::NestPlan NumaSimulator::planNest(const LoopNest &Nest,
+                                                RunState &S) const {
+  NestPlan Plan;
+  unsigned Depth = Plan.Depth = Nest.depth();
+  unsigned Clusters =
+      std::max(1u, (S.Procs + M.ProcsPerCluster - 1) / M.ProcsPerCluster);
+  for (const Loop &L : Nest.Loops) {
+    auto Terms = [&](const std::vector<BoundTerm> &Src) {
+      std::vector<IntAffine> Out;
+      Out.reserve(Src.size());
+      for (const BoundTerm &T : Src)
+        Out.emplace_back(
+            Depth, [&](unsigned K) { return T.OuterCoeffs[K]; }, T.Const,
+            S.Bindings);
+      return Out;
+    };
+    Plan.Lower.push_back(Terms(L.Lower));
+    Plan.Upper.push_back(Terms(L.Upper));
+  }
+
+  for (const Statement &Stmt : Nest.Body) {
+    unsigned First = Plan.Accesses.size();
+    for (const ArrayAccess &Acc : Stmt.Accesses) {
+      AccessPlan &A = Plan.Accesses.emplace_back();
+      const Matrix &F = Acc.Map.linear();
+      unsigned Rank = Acc.Map.arrayDim();
+      for (unsigned D = 0; D != Rank; ++D) {
+        A.Rows.emplace_back(
+            Depth, [&](unsigned K) { return F.at(D, K); },
+            Acc.Map.constant()[D], S.Bindings);
+        A.Stride.push_back(rationalFloor(F.at(D, Depth - 1)));
+      }
+      auto PlIt = S.Current.find(Acc.ArrayId);
+      ArrayPlacement Placement = PlIt != S.Current.end()
+                                     ? PlIt->second
+                                     : ArrayPlacement::linearFill();
+      // A rank-0 array is one element at offset 0.
+      A.Kind = Rank == 0 ? ArrayPlacement::Kind::LinearFill : Placement.PKind;
+      A.Clusters = Clusters;
+      bool AnyNeg = false, AnyPos = false;
+      for (int64_t St : A.Stride) {
+        AnyNeg |= St < 0;
+        AnyPos |= St > 0;
+      }
+      A.Monotone = !(AnyNeg && AnyPos);
+      try {
+        const ArrayShape &Sh = shapeOf(Acc.ArrayId, S);
+        A.Extents = Sh.Extents;
+        if (Rank != 0) {
+          A.Dim = std::min<unsigned>(Placement.Dim, Rank - 1);
+          A.Block = (A.Extents[A.Dim] - 1) / Clusters + 1;
+        }
+        A.FillDiv = std::max(Sh.Elems / Clusters, 1.0);
+        A.ElemsPerLine = elemsPerLine(A.Stride, A.Extents,
+                                      P.array(Acc.ArrayId).ElemBytes,
+                                      M.CacheLineBytes);
+      } catch (const AlpException &) {
+        A.Failed = std::current_exception();
+      }
     }
-    double TotalElems = 1.0;
-    for (unsigned D = 0; D != A.rank(); ++D) {
-      Rational Ext = A.DimSizes[D].evaluate(S.Bindings);
-      TotalElems *= std::max<double>(
-          static_cast<double>(Ext.num()) / static_cast<double>(Ext.den()),
-          1.0);
-    }
-    // Pages fill the active clusters evenly in address order.
-    double Share = TotalElems / ActiveClusters;
-    unsigned C = static_cast<unsigned>(Offset / std::max(Share, 1.0));
-    return std::min(C, ActiveClusters - 1);
+    Plan.Stmts.push_back({static_cast<double>(Stmt.WorkCycles), First,
+                          static_cast<unsigned>(Plan.Accesses.size())});
   }
-  }
-  return 0;
+  return Plan;
 }
 
 //===----------------------------------------------------------------------===//
 // Segment and chunk costing
 //===----------------------------------------------------------------------===//
 
-double NumaSimulator::segmentCost(unsigned Proc, unsigned ArrayId,
-                                  const std::vector<int64_t> &Start,
-                                  const std::vector<int64_t> &StridePerIter,
-                                  int64_t Length, RunState &S) const {
-  if (Length <= 0)
-    return 0.0;
-  const ArraySymbol &A = P.array(ArrayId);
-  auto PlIt = S.Current.find(ArrayId);
-  ArrayPlacement Placement = PlIt != S.Current.end()
-                                 ? PlIt->second
-                                 : ArrayPlacement::linearFill();
-
-  // Row-major linear stride of one iteration step.
-  int64_t LinStride = 0;
-  {
-    int64_t Mult = 1;
-    for (unsigned D = A.rank(); D != 0; --D) {
-      LinStride += StridePerIter[D - 1] * Mult;
-      Rational Ext = A.DimSizes[D - 1].evaluate(S.Bindings);
-      Mult *= std::max<int64_t>(rationalFloor(Ext), 1);
-    }
-  }
-  int64_t ByteStride = std::abs(LinStride) * A.ElemBytes;
-  int64_t ElemsPerLine =
-      ByteStride == 0
-          ? Length
-          : std::max<int64_t>(1, M.CacheLineBytes / std::max<int64_t>(
-                                                        ByteStride, 1));
-  int64_t Lines = ByteStride == 0 ? 1 : ceilDiv(Length, ElemsPerLine);
+double NumaSimulator::segmentCost(unsigned Proc, const AccessPlan &A,
+                                  const int64_t *Start, int64_t Length,
+                                  RunState &S) const {
+  if (A.Failed)
+    std::rethrow_exception(A.Failed);
+  unsigned Rank = A.Stride.size();
+  SmallVec<int64_t, 4> End(Rank);
+  for (unsigned D = 0; D != Rank; ++D)
+    End[D] = checkedAdd64(
+        Start[D], checkedMul64(A.Stride[D], Length - 1, Arith), Arith);
+  int64_t PerLine = A.ElemsPerLine ? A.ElemsPerLine : Length;
+  int64_t Lines = (Length - 1) / PerLine + 1;
 
   unsigned MyCluster = clusterOfProc(Proc);
-  auto LatencyOf = [&](unsigned Home) {
-    if (S.AllLocal || Home == UINT32_MAX || Home == MyCluster)
-      return M.LocalCycles;
-    // Under a planned schedule the data arrived in a pre-posted bulk
-    // message: the line moves at the hardware rate, and the software
-    // overhead is charged once per planned message in plannedComm().
-    if (S.PlannedComm)
-      return M.RemoteCycles;
-    // Without a plan every remote line is a demand-driven fetch paying
-    // the full per-message software overhead; amortizing it over bulk
-    // transfers is exactly what the planned schedule buys.
-    return M.remoteLineCost();
-  };
-  auto CountLine = [&](unsigned Home, double N) {
-    if (S.AllLocal || Home == UINT32_MAX || Home == MyCluster) {
-      S.Res.LocalLineFetches += N;
-      return;
+  bool AllLocal = S.AllLocal || A.Kind == ArrayPlacement::Kind::Replicated;
+  // Charges \p N lines homed on cluster \p Home.
+  auto Charge = [&](unsigned Home, int64_t N) {
+    double Count = static_cast<double>(N);
+    if (AllLocal || Home == MyCluster) {
+      S.Res.LocalLineFetches += Count;
+      return Count * M.LocalCycles;
     }
-    S.Res.RemoteLineFetches += N;
+    S.Res.RemoteLineFetches += Count;
     // Unplanned message-passing: every remote line is a message. Planned
     // messages are counted when the schedule's ops are charged.
     if (M.MessagePassing && !S.PlannedComm)
-      S.Res.MessagesSent += N;
+      S.Res.MessagesSent += Count;
+    // Under a planned schedule the data arrived in a pre-posted bulk
+    // message: the line moves at the hardware rate, and the software
+    // overhead is charged once per planned message in plannedComm().
+    // Without a plan every remote line is a demand-driven fetch paying
+    // the full per-message software overhead; amortizing it over bulk
+    // transfers is exactly what the planned schedule buys.
+    return Count * (S.PlannedComm ? M.RemoteCycles : M.remoteLineCost());
   };
 
-  std::vector<int64_t> EndIdx(Start);
-  for (unsigned D = 0; D != A.rank(); ++D)
-    EndIdx[D] += StridePerIter[D] * (Length - 1);
-  unsigned HomeStart = homeCluster(ArrayId, Placement, Start, S);
-  unsigned HomeEnd = homeCluster(ArrayId, Placement, EndIdx, S);
-
   double Cost = 0.0;
-  if (HomeStart == HomeEnd) {
+  unsigned HomeStart = AllLocal ? 0 : A.homeOf(Start);
+  if (AllLocal || HomeStart == A.homeOf(End.data())) {
     // Homogeneous segment: closed form.
-    double Lat = LatencyOf(HomeStart);
-    Cost = Lines * Lat + (Length - Lines) * M.CacheCycles;
-    S.Res.CacheAccesses += Length - Lines;
-    CountLine(HomeStart, static_cast<double>(Lines));
-    return Cost;
-  }
-  // Heterogeneous: walk line by line.
-  std::vector<int64_t> Idx(Start);
-  for (int64_t L = 0; L != Lines; ++L) {
-    unsigned Home = homeCluster(ArrayId, Placement, Idx, S);
-    Cost += LatencyOf(Home);
-    CountLine(Home, 1.0);
-    for (unsigned D = 0; D != A.rank(); ++D)
-      Idx[D] += StridePerIter[D] * ElemsPerLine;
+    Cost = Charge(HomeStart, Lines);
+  } else if (A.Kind == ArrayPlacement::Kind::BlockedDim) {
+    // Line L sits at index V0 + L * Step of the blocked dimension, whose
+    // home changes only at block boundaries: divide to find each run.
+    __int128 V0 = Start[A.Dim];
+    __int128 Step = static_cast<__int128>(A.Stride[A.Dim]) * PerLine;
+    int64_t Extent = A.Extents[A.Dim];
+    unsigned Last = static_cast<unsigned>((Extent - 1) / A.Block);
+    for (int64_t L = 0; L != Lines;) {
+      __int128 V = V0 + Step * L;
+      unsigned Home = static_cast<unsigned>(
+          std::clamp<__int128>(V, 0, Extent - 1) / A.Block);
+      __int128 Run = Lines - L;
+      if (Step > 0 && Home != Last)
+        Run = ((Home + static_cast<__int128>(1)) * A.Block - 1 - V) / Step + 1;
+      else if (Step < 0 && Home != 0)
+        Run = (V - static_cast<__int128>(Home) * A.Block) / -Step + 1;
+      int64_t N = static_cast<int64_t>(std::min<__int128>(Run, Lines - L));
+      Cost += Charge(Home, N);
+      L += N;
+    }
+  } else {
+    // LinearFill: line L starts at Start + L * PerLine * Stride, which
+    // stays between Start and End, so no step can overflow.
+    auto HomeAt = [&](int64_t L) {
+      int64_t Steps = L * PerLine;
+      return A.fillHome(
+          [&](unsigned D) { return Start[D] + A.Stride[D] * Steps; });
+    };
+    for (int64_t L = 0; L != Lines;) {
+      unsigned Home = HomeAt(L);
+      int64_t RunEnd = L; // Last line of the run homed on Home.
+      if (A.Monotone) {
+        // Gallop while the home holds, then bisect the last step: a run of
+        // R lines costs O(log R) probes, however long the segment.
+        int64_t Hi = Lines - 1;
+        for (int64_t Step = 1; RunEnd < Hi; Step *= 2) {
+          int64_t Probe = std::min(RunEnd + Step, Hi);
+          if (HomeAt(Probe) != Home) {
+            Hi = Probe - 1;
+            break;
+          }
+          RunEnd = Probe;
+        }
+        while (RunEnd < Hi) {
+          int64_t Mid = RunEnd + (Hi - RunEnd + 1) / 2;
+          if (HomeAt(Mid) == Home)
+            RunEnd = Mid;
+          else
+            Hi = Mid - 1;
+        }
+      }
+      Cost += Charge(Home, RunEnd - L + 1);
+      L = RunEnd + 1;
+    }
   }
   Cost += (Length - Lines) * M.CacheCycles;
   S.Res.CacheAccesses += Length - Lines;
   return Cost;
 }
 
-double NumaSimulator::chunkCost(unsigned Proc, const LoopNest &Nest,
-                                const std::vector<LoopRange> &Ranges,
+double NumaSimulator::chunkCost(unsigned Proc, const NestPlan &Plan,
+                                std::initializer_list<LoopRange> Ranges,
                                 RunState &S) const {
-  unsigned Depth = Nest.depth();
-  std::vector<int64_t> Outer(Depth, 0);
+  unsigned Depth = Plan.Depth;
+  SmallVec<int64_t, 8> Outer(Depth, 0), Next(Depth), Last(Depth);
+  SmallVec<int64_t, 8> RangeLo(Depth, INT64_MIN), RangeHi(Depth, INT64_MAX);
+  for (const LoopRange &R : Ranges) {
+    RangeLo[R.Level] = std::max(RangeLo[R.Level], R.Lo);
+    RangeHi[R.Level] = std::min(RangeHi[R.Level], R.Hi);
+  }
+  auto RangeFor = [&](unsigned Level) {
+    auto B = Plan.bounds(Level, Outer.data());
+    return std::make_pair(std::max(B.first, RangeLo[Level]),
+                          std::min(B.second, RangeHi[Level]));
+  };
+
+  // The innermost loop is costed as one segment per statement access.
   double Total = 0.0;
-
-  auto RangeFor = [&](unsigned Level) -> std::pair<int64_t, int64_t> {
-    auto B = loopBounds(Nest, Level, Outer, S);
-    for (const LoopRange &R : Ranges)
-      if (R.Level == Level) {
-        B.first = std::max(B.first, R.Lo);
-        B.second = std::min(B.second, R.Hi);
-      }
-    return B;
-  };
-
-  // Recursive enumeration of all loops but the innermost; the innermost is
-  // costed as a segment per statement access.
-  std::function<void(unsigned)> Rec = [&](unsigned Level) {
-    if (Level + 1 == Depth) {
-      auto [Lo, Hi] = RangeFor(Level);
-      int64_t Len = Hi - Lo + 1;
-      if (Len <= 0)
-        return;
-      Outer[Level] = Lo;
-      Vector Iter(Depth);
-      for (unsigned I = 0; I != Depth; ++I)
-        Iter[I] = Rational(Outer[I]);
-      for (const Statement &Stmt : Nest.Body) {
-        Total += static_cast<double>(Stmt.WorkCycles) * Len;
-        S.Res.ComputeCycles += static_cast<double>(Stmt.WorkCycles) * Len;
-        for (const ArrayAccess &Acc : Stmt.Accesses) {
-          // Start = f(iter at Lo); stride = F * e_inner.
-          Vector StartQ = Acc.Map.evaluate(Iter, S.Bindings);
-          std::vector<int64_t> Start(Acc.Map.arrayDim());
-          std::vector<int64_t> Stride(Acc.Map.arrayDim());
-          for (unsigned D = 0; D != Acc.Map.arrayDim(); ++D) {
-            Start[D] = rationalFloor(StartQ[D]);
-            Stride[D] =
-                rationalFloor(Acc.Map.linear().at(D, Depth - 1));
-          }
-          double C = segmentCost(Proc, Acc.ArrayId, Start, Stride, Len, S);
-          Total += C;
-          S.Res.MemoryCycles += C;
-        }
-      }
+  SmallVec<int64_t, 8> Start;
+  auto Innermost = [&] {
+    auto [Lo, Hi] = RangeFor(Depth - 1);
+    if (Lo > Hi)
       return;
-    }
-    auto [Lo, Hi] = RangeFor(Level);
-    for (int64_t V = Lo; V <= Hi; ++V) {
-      Outer[Level] = V;
-      Rec(Level + 1);
+    int64_t Len = checkedAdd64(checkedSub64(Hi, Lo, Arith), 1, Arith);
+    Outer[Depth - 1] = Lo;
+    for (const NestPlan::StmtPlan &Stmt : Plan.Stmts) {
+      Total += Stmt.Work * Len;
+      S.Res.ComputeCycles += Stmt.Work * Len;
+      for (unsigned I = Stmt.FirstAccess; I != Stmt.EndAccess; ++I) {
+        const AccessPlan &A = Plan.Accesses[I];
+        Start.resize(A.Rows.size());
+        for (unsigned D = 0; D != A.Rows.size(); ++D)
+          Start[D] = A.Rows[D].floorAt(Outer.data());
+        double C = segmentCost(Proc, A, Start.data(), Len, S);
+        Total += C;
+        S.Res.MemoryCycles += C;
+      }
     }
   };
-  Rec(0);
+
+  // Odometer over the outer loops. Outer[L] keeps the last value loop L
+  // took, as the bounds of later visits see it.
+  if (Depth == 1) {
+    Innermost();
+    return Total;
+  }
+  auto Enter = [&](unsigned Level) {
+    std::tie(Next[Level], Last[Level]) = RangeFor(Level);
+  };
+  unsigned Level = 0;
+  Enter(0);
+  for (;;) {
+    if (Next[Level] > Last[Level]) {
+      if (Level == 0)
+        break;
+      --Level;
+      continue;
+    }
+    Outer[Level] = Next[Level]++;
+    if (Level + 2 == Depth) {
+      Innermost();
+    } else {
+      ++Level;
+      Enter(Level);
+    }
+  }
   return Total;
 }
 
@@ -312,8 +504,8 @@ void NumaSimulator::reorganizeIfNeeded(unsigned NestId, RunState &S) {
   unsigned ActiveClusters =
       std::max(1u, (S.Procs + M.ProcsPerCluster - 1) / M.ProcsPerCluster);
   for (unsigned A : Nest.referencedArrays()) {
-    auto Want = PlacementAt.find({A, NestId});
-    if (Want == PlacementAt.end())
+    auto Want = Cfg.PlacementAt.find({A, NestId});
+    if (Want == Cfg.PlacementAt.end())
       continue;
     auto Cur = S.Current.find(A);
     if (Cur != S.Current.end() && Cur->second == Want->second)
@@ -326,13 +518,8 @@ void NumaSimulator::reorganizeIfNeeded(unsigned NestId, RunState &S) {
     }
     // Move the whole array: each active processor copies its share, one
     // remote read and one remote write per cache line.
-    double Elems = 1.0;
-    for (const SymAffine &Dim : P.array(A).DimSizes) {
-      Rational V = Dim.evaluate(S.Bindings);
-      Elems *= std::max<double>(
-          static_cast<double>(V.num()) / static_cast<double>(V.den()), 1.0);
-    }
-    double Lines = Elems * P.array(A).ElemBytes / M.CacheLineBytes;
+    double Lines =
+        shapeOf(A, S).Elems * P.array(A).ElemBytes / M.CacheLineBytes;
     double PerLine = S.PlannedComm ? M.RemoteCycles : M.bulkRemoteLineCost();
     double Cycles = std::max(
         Lines * 2.0 * PerLine / std::max(1u, S.Procs),
@@ -357,8 +544,8 @@ void NumaSimulator::reorganizeIfNeeded(unsigned NestId, RunState &S) {
 }
 
 void NumaSimulator::plannedNestComm(unsigned NestId, RunState &S) const {
-  auto It = CommSched.PerNest.find(NestId);
-  if (It == CommSched.PerNest.end())
+  auto It = Cfg.CommSched.PerNest.find(NestId);
+  if (It == Cfg.CommSched.PerNest.end())
     return;
   double Cycles = 0.0;
   for (const CommScheduleOp &Op : It->second) {
@@ -408,6 +595,9 @@ void NumaSimulator::runNest(unsigned NestId, RunState &S) {
   reorganizeIfNeeded(NestId, S);
   if (S.PlannedComm)
     plannedNestComm(NestId, S);
+  NestPlan Plan = planNest(Nest, S);
+  // The distributed loops' bounds are read with every loop at zero.
+  SmallVec<int64_t, 8> Zeros(Nest.depth(), 0);
   double RemoteBefore = S.Res.RemoteLineFetches;
   // Remote traffic of the whole nest is capped by the interconnect: the
   // nest cannot finish faster than the remote lines can move.
@@ -418,21 +608,21 @@ void NumaSimulator::runNest(unsigned NestId, RunState &S) {
   };
 
   NestSchedule Sched;
-  auto SIt = Schedules.find(NestId);
-  if (SIt != Schedules.end())
+  auto SIt = Cfg.Schedules.find(NestId);
+  if (SIt != Cfg.Schedules.end())
     Sched = SIt->second;
   if (S.Procs == 1)
     Sched.ExecMode = NestSchedule::Mode::Sequential;
 
   switch (Sched.ExecMode) {
   case NestSchedule::Mode::Sequential: {
-    double T = chunkCost(0, Nest, {}, S);
+    double T = chunkCost(0, Plan, {}, S);
     S.Res.Cycles += BandwidthBound(T);
     return;
   }
   case NestSchedule::Mode::Forall: {
     unsigned Level = std::min<unsigned>(Sched.DistLoop, Nest.depth() - 1);
-    auto [Lo, Hi] = loopBounds(Nest, Level, {}, S);
+    auto [Lo, Hi] = Plan.bounds(Level, Zeros.data());
     int64_t Extent = std::max<int64_t>(Hi - Lo + 1, 1);
     int64_t Strip = ceilDiv(Extent, S.Procs);
     double MaxT = 0.0;
@@ -441,7 +631,7 @@ void NumaSimulator::runNest(unsigned NestId, RunState &S) {
       int64_t SHi = std::min<int64_t>(SLo + Strip - 1, Hi);
       if (SLo > SHi)
         continue;
-      double T = chunkCost(Pr, Nest, {{Level, SLo, SHi}}, S);
+      double T = chunkCost(Pr, Plan, {{Level, SLo, SHi}}, S);
       MaxT = std::max(MaxT, T);
     }
     S.Res.Cycles += BandwidthBound(MaxT) + M.BarrierCycles;
@@ -459,8 +649,8 @@ void NumaSimulator::runNest(unsigned NestId, RunState &S) {
     while ((PR + 1) * (PR + 1) <= S.Procs)
       ++PR;
     unsigned PC = S.Procs / PR;
-    auto [DLo, DHi] = loopBounds(Nest, DLevel, {}, S);
-    auto [BLo, BHi] = loopBounds(Nest, BLevel, {}, S);
+    auto [DLo, DHi] = Plan.bounds(DLevel, Zeros.data());
+    auto [BLo, BHi] = Plan.bounds(BLevel, Zeros.data());
     int64_t RStrip = ceilDiv(std::max<int64_t>(DHi - DLo + 1, 1), PR);
     int64_t CStrip = ceilDiv(std::max<int64_t>(BHi - BLo + 1, 1), PC);
     std::vector<std::vector<double>> Finish(PR,
@@ -474,7 +664,7 @@ void NumaSimulator::runNest(unsigned NestId, RunState &S) {
         int64_t CHi = std::min<int64_t>(CLo + CStrip - 1, BHi);
         double Cost = 0.0;
         if (RLo <= RHi2 && CLo <= CHi)
-          Cost = chunkCost(R * PC + C, Nest,
+          Cost = chunkCost(R * PC + C, Plan,
                            {{DLevel, RLo, RHi2}, {BLevel, CLo, CHi}}, S);
         double Ready = 0.0;
         if (R > 0) {
@@ -495,8 +685,8 @@ void NumaSimulator::runNest(unsigned NestId, RunState &S) {
   case NestSchedule::Mode::Pipelined: {
     unsigned DLevel = std::min<unsigned>(Sched.DistLoop, Nest.depth() - 1);
     unsigned BLevel = std::min<unsigned>(Sched.PipeLoop, Nest.depth() - 1);
-    auto [DLo, DHi] = loopBounds(Nest, DLevel, {}, S);
-    auto [BLo, BHi] = loopBounds(Nest, BLevel, {}, S);
+    auto [DLo, DHi] = Plan.bounds(DLevel, Zeros.data());
+    auto [BLo, BHi] = Plan.bounds(BLevel, Zeros.data());
     int64_t DExtent = std::max<int64_t>(DHi - DLo + 1, 1);
     int64_t BExtent = std::max<int64_t>(BHi - BLo + 1, 1);
     int64_t Strip = ceilDiv(DExtent, S.Procs);
@@ -519,7 +709,7 @@ void NumaSimulator::runNest(unsigned NestId, RunState &S) {
         if (SLo <= SHi) {
           int64_t CLo = BLo + B * BS;
           int64_t CHi = std::min<int64_t>(CLo + BS - 1, BHi);
-          Cost = chunkCost(Pr, Nest,
+          Cost = chunkCost(Pr, Plan,
                            {{DLevel, SLo, SHi}, {BLevel, CLo, CHi}}, S);
           // Synchronization is not free for the processor either: the
           // wait/signal pair occupies it once per block.
@@ -563,10 +753,12 @@ void NumaSimulator::runNodes(const std::vector<ProgramNode> &Nodes,
       if (HadBinding)
         SavedBinding = S.Bindings[N.IndexName];
       S.Bindings[N.IndexName] = SavedBinding; // Lower bound value.
+      rebind(S);
       runNodes(N.Children, S);
       if (Trip > 1) {
         SimResult AfterFirst = S.Res;
         S.Bindings[N.IndexName] = SavedBinding + Rational(1);
+        rebind(S);
         runNodes(N.Children, S);
         if (Trip > 2) {
           double K = static_cast<double>(Trip - 2);
@@ -586,6 +778,7 @@ void NumaSimulator::runNodes(const std::vector<ProgramNode> &Nodes,
       }
       if (HadBinding)
         S.Bindings[N.IndexName] = SavedBinding;
+      rebind(S);
       break;
     }
     case ProgramNode::Kind::Branch: {
@@ -621,15 +814,16 @@ SimResult NumaSimulator::run(unsigned NumProcs) {
   S.Procs = std::max(1u, std::min(NumProcs, M.NumProcs));
   // One processor exchanges nothing: the planned schedule only applies
   // to actual multi-processor message-passing runs.
-  S.PlannedComm = M.MessagePassing && !CommSched.empty() && S.Procs > 1;
+  S.PlannedComm = M.MessagePassing && !Cfg.CommSched.empty() && S.Procs > 1;
   S.Bindings = P.SymbolBindings;
+  S.Shapes.resize(P.Arrays.size());
   S.Current.clear();
-  for (const auto &[A, Pl] : InitialPlacement)
+  for (const auto &[A, Pl] : Cfg.InitialPlacement)
     S.Current[A] = Pl;
   if (S.PlannedComm) {
     // One-time prologue operations (hoisted broadcasts): a log-depth
     // forwarding tree, each stage one bulk message.
-    for (const CommScheduleOp &Op : CommSched.Prologue) {
+    for (const CommScheduleOp &Op : Cfg.CommSched.Prologue) {
       double Hops = std::ceil(std::log2(std::max<double>(S.Procs, 2.0)));
       double Lines = Op.ElementsPerMessage * P.array(Op.ArrayId).ElemBytes /
                      std::max(1u, M.CacheLineBytes);
@@ -652,7 +846,8 @@ double NumaSimulator::sequentialCycles() {
   S.Procs = 1;
   S.AllLocal = true;
   S.Bindings = P.SymbolBindings;
-  for (const auto &[A, Pl] : InitialPlacement)
+  S.Shapes.resize(P.Arrays.size());
+  for (const auto &[A, Pl] : Cfg.InitialPlacement)
     S.Current[A] = Pl;
   runNodes(P.TopLevel, S);
   return S.Res.Cycles;

@@ -12,10 +12,19 @@
 /// experiments of Figure 7 depend only on these published latency ratios,
 /// the page placement policy, and the synchronization structure, all of
 /// which are modeled. Execution is simulated at inner-loop *segment*
-/// granularity: contiguous innermost runs are costed analytically (lines
-/// touched x home latency + cache hits), nests run either sequentially,
-/// as forall (max over processors plus a barrier), or software-pipelined
-/// over blocks with point-to-point synchronization (Sec. 5's doacross).
+/// granularity, and a segment costs O(1) on the common path: everything
+/// that stays fixed within a nest (integer array extents, each access's
+/// placement, block size and line stride, the access maps and loop bounds
+/// normalized to integer coefficients) is prepared once per nest, so a
+/// segment's start is one checked integer dot product. A segment within
+/// one home cluster is costed in closed form (lines touched x home latency
+/// + cache hits); one that crosses clusters is split at the ownership
+/// boundaries -- by division for blocked placements, by binary search on
+/// the monotone home for linear fill -- so it costs O(clusters), not
+/// O(lines); only a linear-fill access whose strides mix signs still walks
+/// its lines. Nests run either sequentially, as forall (max over processors
+/// plus a barrier), or software-pipelined over blocks with point-to-point
+/// synchronization (Sec. 5's doacross).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,8 +35,10 @@
 #include "core/Decomposition.h"
 #include "ir/Program.h"
 #include "machine/CommSchedule.h"
+#include "support/SmallVec.h"
 #include "support/Trace.h"
 
+#include <initializer_list>
 #include <map>
 #include <string>
 #include <vector>
@@ -130,6 +141,15 @@ public:
   /// run's SimResult as "sim.*" gauges.
   void setObserve(TraceContext Observe) { this->Observe = Observe; }
 
+  /// Everything the setters above installed.
+  struct Config {
+    std::map<std::pair<unsigned, unsigned>, ArrayPlacement> PlacementAt;
+    std::map<unsigned, ArrayPlacement> InitialPlacement;
+    std::map<unsigned, NestSchedule> Schedules;
+    CommSchedule CommSched;
+  };
+  const Config &config() const { return Cfg; }
+
   /// Runs the whole program once with \p NumProcs active processors
   /// (capped at the machine's processor count).
   SimResult run(unsigned NumProcs);
@@ -142,10 +162,14 @@ private:
   const Program &P;
   MachineParams M;
   TraceContext Observe;
-  std::map<std::pair<unsigned, unsigned>, ArrayPlacement> PlacementAt;
-  std::map<unsigned, ArrayPlacement> InitialPlacement;
-  std::map<unsigned, NestSchedule> Schedules;
-  CommSchedule CommSched;
+  Config Cfg;
+
+  /// Integer extents of one array under the current symbol bindings.
+  struct ArrayShape {
+    bool Valid = false;
+    SmallVec<int64_t, 4> Extents; ///< max(floor(extent), 1) per dimension.
+    double Elems = 1.0;           ///< Product of the extents (each >= 1).
+  };
 
   struct RunState {
     unsigned Procs = 1;
@@ -156,46 +180,48 @@ private:
     bool PlannedComm = false;
     std::map<unsigned, ArrayPlacement> Current;
     std::map<std::string, Rational> Bindings;
+    /// Indexed by array id; filled lazily, invalidated by rebind().
+    std::vector<ArrayShape> Shapes;
     SimResult Res;
   };
 
-  unsigned clusters() const;
+  /// Per-nest costing data (defined in NumaSimulator.cpp).
+  struct AccessPlan;
+  struct NestPlan;
+
   unsigned clusterOfProc(unsigned Proc) const;
 
-  /// Cluster holding element \p Index of \p ArrayId under \p Placement.
-  unsigned homeCluster(unsigned ArrayId, const ArrayPlacement &Placement,
-                       const std::vector<int64_t> &Index,
-                       const RunState &S) const;
+  /// Marks every cached ArrayShape stale; call after S.Bindings changes.
+  static void rebind(RunState &S);
+  /// The shape of \p ArrayId under S.Bindings, computed on first use.
+  const ArrayShape &shapeOf(unsigned ArrayId, RunState &S) const;
 
-  /// Cost of a contiguous innermost segment of \p Length accesses with
-  /// the given array-space stride vector, starting at \p Start, issued by
-  /// \p Proc. Updates line/cache counters.
-  double segmentCost(unsigned Proc, unsigned ArrayId,
-                     const std::vector<int64_t> &Start,
-                     const std::vector<int64_t> &StridePerIter,
-                     int64_t Length, RunState &S) const;
+  /// Prepares \p Nest for costing under the current bindings, placements
+  /// and processor count.
+  NestPlan planNest(const LoopNest &Nest, RunState &S) const;
 
-  /// Cost of executing the iteration sub-range of \p Nest assigned to
-  /// \p Proc where loop \p Level ranges only over [RangeLo, RangeHi].
-  /// Ranges for unmentioned loops come from the bounds.
+  /// Cost of a contiguous innermost segment of \p Length > 0 accesses of
+  /// \p A starting at array index \p Start, issued by \p Proc. Updates
+  /// line/cache counters.
+  double segmentCost(unsigned Proc, const AccessPlan &A,
+                     const int64_t *Start, int64_t Length, RunState &S) const;
+
+  /// Cost of executing the iteration sub-range of a nest assigned to
+  /// \p Proc where loop \p Level ranges only over [Lo, Hi]. Ranges for
+  /// unmentioned loops come from the bounds.
   struct LoopRange {
     unsigned Level;
     int64_t Lo, Hi;
   };
-  double chunkCost(unsigned Proc, const LoopNest &Nest,
-                   const std::vector<LoopRange> &Ranges, RunState &S) const;
+  double chunkCost(unsigned Proc, const NestPlan &Plan,
+                   std::initializer_list<LoopRange> Ranges,
+                   RunState &S) const;
 
   void runNodes(const std::vector<ProgramNode> &Nodes, RunState &S);
   void runNest(unsigned NestId, RunState &S);
   void reorganizeIfNeeded(unsigned NestId, RunState &S);
   /// Planned-mode software cost of the nest's scheduled messages.
   void plannedNestComm(unsigned NestId, RunState &S) const;
-
-  /// Integer bounds of loop \p Level of \p Nest given outer values.
-  std::pair<int64_t, int64_t> loopBounds(const LoopNest &Nest,
-                                         unsigned Level,
-                                         const std::vector<int64_t> &Outer,
-                                         const RunState &S) const;
 };
 
 } // namespace alp

@@ -10,6 +10,7 @@
 
 #include "codegen/CommAnalysis.h"
 #include "DecomposeForTest.h"
+#include "KernelGallery.h"
 #include "core/Driver.h"
 #include "core/Verify.h"
 #include "frontend/Lowering.h"
@@ -57,24 +58,7 @@ unsigned totalParallelism(const Result &R) {
 TEST(KernelGalleryTest, JacobiTwoBuffer) {
   // Two-buffer Jacobi: fully parallel sweeps, static 2-d decomposition,
   // nearest-neighbor shifts only.
-  Result R = run(R"(
-program jacobi;
-param N = 255, T = 4;
-array A[N + 1, N + 1], B[N + 1, N + 1];
-for t = 1 to T {
-  forall i = 1 to N - 1 {
-    forall j = 1 to N - 1 {
-      B[i, j] = f(A[i - 1, j], A[i + 1, j], A[i, j - 1], A[i, j + 1])
-        @cost(10);
-    }
-  }
-  forall i = 1 to N - 1 {
-    forall j = 1 to N - 1 {
-      A[i, j] = B[i, j] @cost(4);
-    }
-  }
-}
-)");
+  Result R = run(gallery::Jacobi);
   EXPECT_TRUE(R.PD.isStatic());
   EXPECT_EQ(R.PD.compOf(0).parallelismDegree(), 2u);
   EXPECT_EQ(R.PD.compOf(1).parallelismDegree(), 2u);
@@ -86,34 +70,14 @@ for t = 1 to T {
 TEST(KernelGalleryTest, GaussSeidelWavefront) {
   // In-place Gauss-Seidel: both loops carry dependences; the blocked
   // partition extracts doacross parallelism.
-  Result R = run(R"(
-program seidel;
-param N = 255;
-array A[N + 1, N + 1];
-for i = 1 to N - 1 {
-  for j = 1 to N - 1 {
-    A[i, j] = f(A[i - 1, j], A[i, j - 1], A[i, j]) @cost(10);
-  }
-}
-)");
+  Result R = run(gallery::GaussSeidel);
   EXPECT_TRUE(R.PD.compOf(0).isBlocked());
   EXPECT_TRUE(R.PD.compOf(0).Kernel.isTrivial());
   EXPECT_TRUE(R.PD.compOf(0).Localized.isFull());
 }
 
 TEST(KernelGalleryTest, MatmulBroadcastLayout) {
-  Result R = run(R"(
-program matmul;
-param N = 127;
-array A[N + 1, N + 1], B[N + 1, N + 1], C[N + 1, N + 1];
-forall i = 0 to N {
-  forall j = 0 to N {
-    for k = 0 to N {
-      C[i, j] += A[i, k] * B[k, j] @cost(2);
-    }
-  }
-}
-)");
+  Result R = run(gallery::Matmul);
   EXPECT_EQ(R.PD.compOf(0).parallelismDegree(), 2u);
   EXPECT_EQ(R.PD.ReplicatedDims.at(R.P.arrayId("A")), 1u);
   EXPECT_EQ(R.PD.ReplicatedDims.at(R.P.arrayId("B")), 1u);
@@ -129,57 +93,20 @@ TEST(KernelGalleryTest, LuSerializesHonestly) {
   // distributions, which the paper excludes) honestly reports no
   // parallelism; what matters is that nothing crashes and invariants
   // hold.
-  Result R = run(R"(
-program lu;
-param N = 63;
-array A[N + 1, N + 1];
-for k = 0 to N - 1 {
-  forall i = k + 1 to N {
-    A[i, k] = A[i, k] / A[k, k];
-  }
-  forall i = k + 1 to N {
-    forall j = k + 1 to N {
-      A[i, j] = A[i, j] - A[i, k] * A[k, j];
-    }
-  }
-}
-)");
+  Result R = run(gallery::Lu);
   EXPECT_EQ(totalParallelism(R), 0u);
 }
 
 TEST(KernelGalleryTest, FloydWarshallSerializesHonestly) {
   // Same story: D[i, k] and D[k, j] rows/columns of the written array are
   // shared by every iteration of the sweep.
-  Result R = run(R"(
-program fw;
-param N = 63;
-array D[N + 1, N + 1];
-for k = 0 to N {
-  forall i = 0 to N {
-    forall j = 0 to N {
-      D[i, j] = f(D[i, j], D[i, k], D[k, j]);
-    }
-  }
-}
-)");
+  Result R = run(gallery::FloydWarshall);
   EXPECT_EQ(totalParallelism(R), 0u);
 }
 
 TEST(KernelGalleryTest, TriangularSolveRows) {
   // Forward substitution with one RHS per row: rows are independent.
-  Result R = run(R"(
-program trisolve;
-param N = 127;
-array L[N + 1, N + 1], X[N + 1, N + 1], B[N + 1, N + 1];
-forall r = 0 to N {
-  for i = 0 to N {
-    for j = 0 to i - 1 {
-      B[r, i] = B[r, i] - L[i, j] * X[r, j] @cost(4);
-    }
-    X[r, i] = B[r, i] / L[i, i] @cost(4);
-  }
-}
-)");
+  Result R = run(gallery::TriangularSolve);
   // Row-parallel: at least one degree survives, L is read-only and
   // replicated.
   EXPECT_GE(totalParallelism(R), 1u);
@@ -189,13 +116,7 @@ forall r = 0 to N {
 TEST(KernelGalleryTest, TransposeCopyNeedsDiagonalOrReorg) {
   // Copy + transpose-copy chain: the framework either finds the diagonal
   // static partition or cuts the chain; both are consistent.
-  Result R = run(R"(
-program transpose;
-param N = 255;
-array A[N + 1, N + 1], B[N + 1, N + 1];
-forall i = 0 to N { forall j = 0 to N { B[i, j] = A[i, j] @cost(8); } }
-forall i = 0 to N { forall j = 0 to N { A[j, i] = B[i, j] @cost(8); } }
-)");
+  Result R = run(gallery::TransposeCopy);
   if (R.PD.isStatic()) {
     // The diagonal direction must be in the kernels.
     EXPECT_TRUE(
