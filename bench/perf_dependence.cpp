@@ -1,8 +1,8 @@
 //===- bench/perf_dependence.cpp - Dependence analysis throughput ----------===//
 //
 // Performance benchmark P2: wall time of dependence analysis on a large
-// synthetic nest under the four tier/memoization configurations, the
-// parallel analysis driver, and the Rational integer fast path. Hand-rolled
+// synthetic nest under the four tier/memoization configurations (plus a
+// traced run) and the Rational integer fast path. Hand-rolled
 // harness (steady_clock, mean/p50/p99) — no external benchmark library —
 // that emits machine-readable results to BENCH_dependence.json.
 //
@@ -10,8 +10,8 @@
 //
 // The headline number is speedup_tiered_memoized_vs_baseline: the full
 // configuration against uncached exact Fourier-Motzkin on every pair. The
-// harness also cross-checks that every configuration (and the parallel
-// driver) produces byte-identical dependence sets; "results_identical" in
+// harness also cross-checks that every configuration produces
+// byte-identical dependence sets; "results_identical" in
 // the JSON is the result of that check, and a mismatch exits nonzero.
 //
 //===----------------------------------------------------------------------===//
@@ -199,12 +199,6 @@ int main(int argc, char **argv) {
   Configs.push_back(runConfig(P, "memoized_only", MemoOnly, Reps, Warmup));
   Configs.push_back(runConfig(P, "tiered_memoized", Full, Reps, Warmup));
 
-  ThreadPool Pool(ThreadPool::hardwareConcurrency());
-  DependenceOptions Parallel;
-  Parallel.Pool = &Pool;
-  Configs.push_back(runConfig(P, "tiered_memoized_parallel", Parallel, Reps,
-                              Warmup));
-
   // Full config with the tracer enabled: quantifies the cost of span
   // collection against the disabled path (the "tiered_memoized" run,
   // whose spans compile in but reduce to a pointer test).
@@ -223,7 +217,7 @@ int main(int argc, char **argv) {
   double BaselineMean = Configs[0].Stats.MeanMs;
   double FullMean = Configs[3].Stats.MeanMs;
   double Speedup = FullMean > 0 ? BaselineMean / FullMean : 0;
-  double TracedMean = Configs[5].Stats.MeanMs;
+  double TracedMean = Configs[4].Stats.MeanMs;
   double TracingOverhead = FullMean > 0 ? TracedMean / FullMean : 0;
 
   for (const ConfigResult &C : Configs)

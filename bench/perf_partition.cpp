@@ -1,16 +1,17 @@
 //===- bench/perf_partition.cpp - Partition fixpoint throughput ------------===//
 //
 // Performance benchmark P1: scaling of the iterative partition algorithm
-// (Figure 2) with the number of loop nests, and serial-vs-parallel wall
-// time of the full decomposition driver (--jobs). Hand-rolled harness
+// (Figure 2) with the number of loop nests, and the wall time of the full
+// (single-threaded) decomposition driver. Hand-rolled harness
 // (steady_clock, mean/p50/p99) — no external benchmark library — that
 // emits machine-readable results to BENCH_partition.json.
 //
 //   perf_partition [--smoke] [--out <file>]
 //
-// The driver section cross-checks that Jobs = 1 and Jobs = hardware
-// produce byte-identical decomposition reports; "results_identical" in the
-// JSON is the result of that check, and a mismatch exits nonzero.
+// The driver section runs the driver twice and cross-checks that both
+// runs produce byte-identical decomposition reports and counters;
+// "results_identical" and "counters_identical" in the JSON are the
+// results of those checks, and a mismatch exits nonzero.
 //
 //===----------------------------------------------------------------------===//
 
@@ -66,20 +67,17 @@ struct DriverRun {
   std::string CountersJson;
 };
 
-/// Times the driver at \p Jobs workers, then runs once more (untimed)
-/// with observability on — \p Trace may be null, \p Metrics is caller-
-/// owned so main can embed it in the output — and snapshots the counter
-/// payload so the harness can assert jobs-determinism on it.
-DriverRun runDriver(const std::string &Src, unsigned Jobs, unsigned Reps,
-                    unsigned Warmup, Tracer *Trace,
-                    MetricsRegistry &Metrics) {
+/// Times the driver, then runs once more (untimed) with observability on
+/// — \p Trace may be null, \p Metrics is caller-owned so main can embed
+/// it in the output — and snapshots the counter payload so the harness
+/// can assert run-to-run determinism on it.
+DriverRun runDriver(const std::string &Src, unsigned Reps, unsigned Warmup,
+                    Tracer *Trace, MetricsRegistry &Metrics) {
   MachineParams M;
   DriverOptions Opts;
-  Opts.Jobs = Jobs;
   DriverRun R;
   // The local phase rewrites the program, so each repetition decomposes a
-  // fresh compile. The (identical) compile cost is included in both the
-  // serial and the parallel timing, so the reported speedup is a floor.
+  // fresh compile; the compile cost is included in the timing.
   R.Stats = timeReps(Reps, Warmup, [&] {
     Program P = compileOrDie(Src);
     Expected<ProgramDecomposition> PD = decomposeOrError(P, M, Opts);
@@ -144,39 +142,18 @@ int main(int argc, char **argv) {
                 Row.Plain.MeanMs, Row.Blocked.MeanMs);
   }
 
-  printHeader("P1: full driver, serial vs parallel (--jobs)");
-  unsigned Hw = ThreadPool::hardwareConcurrency();
-  // On a single-hardware-thread machine still request a multi-worker pool
-  // (the determinism cross-check below is about the pool path, not the
-  // hardware), but report the effective parallelism honestly: extra
-  // workers on one core add context switches, not speedup, so the speedup
-  // figure is suppressed rather than recorded as sub-1.0 noise.
-  unsigned JobsRequested = Hw > 1 ? Hw : 4;
-  unsigned JobsEffective = std::min(JobsRequested, Hw);
+  printHeader("P1: full driver");
   std::string Src = chainProgram(Smoke ? 8 : 24, 6);
   Tracer Trace;
-  MetricsRegistry SerialMetrics, ParallelMetrics;
-  DriverRun Serial = runDriver(Src, 1, Reps, Warmup, nullptr, SerialMetrics);
-  DriverRun Parallel =
-      runDriver(Src, JobsRequested, Reps, Warmup, &Trace, ParallelMetrics);
-  bool Identical = Serial.Report == Parallel.Report;
-  bool CountersIdentical = Serial.CountersJson == Parallel.CountersJson;
-  bool SpeedupMeaningful = JobsEffective > 1;
-  double Speedup =
-      Parallel.Stats.MeanMs > 0 ? Serial.Stats.MeanMs / Parallel.Stats.MeanMs
-                                : 0;
-  std::printf("jobs=1   mean %8.3f ms  p50 %8.3f ms  p99 %8.3f ms\n",
-              Serial.Stats.MeanMs, Serial.Stats.P50Ms, Serial.Stats.P99Ms);
-  std::printf("jobs=%-2u  mean %8.3f ms  p50 %8.3f ms  p99 %8.3f ms\n",
-              JobsRequested, Parallel.Stats.MeanMs, Parallel.Stats.P50Ms,
-              Parallel.Stats.P99Ms);
-  if (SpeedupMeaningful)
-    std::printf("driver speedup: %.2fx (%u effective job(s))  ", Speedup,
-                JobsEffective);
-  else
-    std::printf("driver speedup: n/a (1 effective job on %u hardware "
-                "thread(s))  ",
-                Hw);
+  MetricsRegistry FirstMetrics, SecondMetrics;
+  // The second run repeats the decomposition once, only for the
+  // run-to-run cross-check and the traced stats section.
+  DriverRun First = runDriver(Src, Reps, Warmup, nullptr, FirstMetrics);
+  DriverRun Second = runDriver(Src, 1, 0, &Trace, SecondMetrics);
+  bool Identical = First.Report == Second.Report;
+  bool CountersIdentical = First.CountersJson == Second.CountersJson;
+  std::printf("driver   mean %8.3f ms  p50 %8.3f ms  p99 %8.3f ms\n",
+              First.Stats.MeanMs, First.Stats.P50Ms, First.Stats.P99Ms);
   std::printf("reports identical: %s  counters identical: %s\n",
               Identical ? "yes" : "NO", CountersIdentical ? "yes" : "NO");
 
@@ -184,7 +161,8 @@ int main(int argc, char **argv) {
   Out.printf("%s", StatsReport::headerOpen("bench_partition").c_str());
   Out.printf("  \"benchmark\": \"partition\",\n");
   Out.printf("  \"smoke\": %s,\n", Smoke ? "true" : "false");
-  Out.printf("  \"hardware_threads\": %u,\n", Hw);
+  Out.printf("  \"hardware_threads\": %u,\n",
+             ThreadPool::hardwareConcurrency());
   Out.printf("  \"fixpoint\": [\n");
   for (size_t I = 0; I != Fixpoint.size(); ++I)
     Out.printf(
@@ -194,28 +172,17 @@ int main(int argc, char **argv) {
                  I + 1 == Fixpoint.size() ? "" : ",");
   Out.printf("  ],\n");
   Out.printf("  \"driver\": {\n");
-  Out.printf("    \"serial\": {%s},\n",
-               repStatsJson(Serial.Stats).c_str());
-  Out.printf("    \"parallel\": {%s, \"jobs\": %u},\n",
-               repStatsJson(Parallel.Stats).c_str(), JobsRequested);
-  Out.printf("    \"jobs_requested\": %u,\n", JobsRequested);
-  Out.printf("    \"jobs_effective\": %u,\n", JobsEffective);
-  // A sub-1.0 "speedup" measured with one effective job is scheduling
-  // noise, not data; null keeps it out of trend dashboards.
-  if (SpeedupMeaningful)
-    Out.printf("    \"speedup\": %.3f,\n", Speedup);
-  else
-    Out.printf("    \"speedup\": null,\n");
+  Out.printf("    \"serial\": {%s},\n", repStatsJson(First.Stats).c_str());
   Out.printf("    \"results_identical\": %s,\n",
-               Identical ? "true" : "false");
+             Identical ? "true" : "false");
   Out.printf("    \"counters_identical\": %s\n",
-               CountersIdentical ? "true" : "false");
+             CountersIdentical ? "true" : "false");
   Out.printf("  },\n");
-  // The parallel observed run's counters and spans in the same versioned
-  // schema alpc --stats emits. (Gauges and timings vary run to run; the
-  // counters section is the jobs-deterministic payload.)
+  // The observed run's counters and spans in the same versioned schema
+  // alpc --stats emits. (Gauges and timings vary run to run; the counters
+  // section is the deterministic payload.)
   {
-    std::string Stats = renderStatsJson(&ParallelMetrics, &Trace);
+    std::string Stats = renderStatsJson(&SecondMetrics, &Trace);
     while (!Stats.empty() && Stats.back() == '\n')
       Stats.pop_back();
     Out.printf("  \"stats\": %s\n", Stats.c_str());

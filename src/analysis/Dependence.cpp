@@ -8,7 +8,6 @@
 #include "support/Arena.h"
 #include "support/FailPoint.h"
 #include "support/Supervisor.h"
-#include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <set>
@@ -21,7 +20,7 @@ namespace {
 /// Injection site at the head of every access-pair dependence test; an
 /// injected Status degrades the pair to assumed dependence exactly like a
 /// blown budget, an injected exception exercises the supervisor's retry
-/// path on the parallel driver.
+/// path of a supervised analysis.
 FailPoint FpDepPair("analysis.dependence.pair");
 
 } // namespace
@@ -454,11 +453,10 @@ DependenceAnalysis::DependenceAnalysis(const Program &P,
 
 DependenceTierStats DependenceAnalysis::tierStats() const {
   DependenceTierStats S;
-  S.Pairs = NumPairs.load(std::memory_order_relaxed);
-  S.GcdIndependent = NumGcdIndependent.load(std::memory_order_relaxed);
-  S.BanerjeeIndependent =
-      NumBanerjeeIndependent.load(std::memory_order_relaxed);
-  S.ExactTested = NumExactTested.load(std::memory_order_relaxed);
+  S.Pairs = NumPairs;
+  S.GcdIndependent = NumGcdIndependent;
+  S.BanerjeeIndependent = NumBanerjeeIndependent;
+  S.ExactTested = NumExactTested;
   if (Cache) {
     DependenceCacheStats CS = Cache->stats();
     S.CacheHits = CS.Hits;
@@ -466,12 +464,12 @@ DependenceTierStats DependenceAnalysis::tierStats() const {
   }
   S.LogicalCacheHits = NumLogicalCacheHits;
   S.LogicalCacheMisses = NumLogicalCacheMisses;
-  S.EliminationSteps = NumEliminationSteps.load(std::memory_order_relaxed);
+  S.EliminationSteps = NumEliminationSteps;
   return S;
 }
 
 void DependenceTierStats::publishTo(MetricsRegistry &MR) const {
-  // Deterministic section: identical for every --jobs value.
+  // Deterministic section: pure functions of the program.
   MR.add("dep.pairs", Pairs);
   MR.add("dep.tier0_gcd_independent", GcdIndependent);
   MR.add("dep.tier1_banerjee_independent", BanerjeeIndependent);
@@ -491,7 +489,7 @@ void DependenceAnalysis::analyzePair(const LoopNest &Nest,
                                      PairResult &Res) const {
   const unsigned SStmt = Task.SStmt, SAcc = Task.SAcc;
   const unsigned TStmt = Task.TStmt, TAcc = Task.TAcc;
-  NumPairs.fetch_add(1, std::memory_order_relaxed);
+  ++NumPairs;
   // The pair's dependence polyhedra and all FM scratch live on the worker's
   // arena and are rewound wholesale on return; only plain results (Deps,
   // warnings, cache refs) escape into Res. Blocks stay warm across pairs,
@@ -524,7 +522,7 @@ void DependenceAnalysis::analyzePair(const LoopNest &Nest,
   if (Options.TieredTests) {
     // Tier 0: GCD divisibility on the subscript equations.
     if (!gcdTestPasses(A.Map, B.Map)) {
-      NumGcdIndependent.fetch_add(1, std::memory_order_relaxed);
+      ++NumGcdIndependent;
       return;
     }
     // Tier 1: Banerjee bounds. Overflow while forming the extremes means
@@ -535,11 +533,11 @@ void DependenceAnalysis::analyzePair(const LoopNest &Nest,
     } catch (const AlpException &) {
     }
     if (Independent) {
-      NumBanerjeeIndependent.fetch_add(1, std::memory_order_relaxed);
+      ++NumBanerjeeIndependent;
       return;
     }
   }
-  NumExactTested.fetch_add(1, std::memory_order_relaxed);
+  ++NumExactTested;
   TraceSpan ExactSpan(Options.Trace, "dep.exact");
 
   // Tier 2: the exact Fourier-Motzkin test on the dependence polyhedron.
@@ -708,8 +706,7 @@ void DependenceAnalysis::appendConservativePair(const LoopNest &Nest,
 
 std::vector<Dependence>
 DependenceAnalysis::analyze(const LoopNest &Nest) const {
-  // Gather the pairs up front so serial and parallel runs share one
-  // deterministic order.
+  // Gather the pairs up front so both budget modes share one order.
   std::vector<PairTask> Pairs;
   for (unsigned S = 0; S != Nest.Body.size(); ++S)
     for (unsigned T = 0; T != Nest.Body.size(); ++T)
@@ -731,23 +728,21 @@ DependenceAnalysis::analyze(const LoopNest &Nest) const {
     for (std::string &W : R.Warnings)
       Warnings.push_back(std::move(W));
     Degraded |= R.Degraded;
-    // Replay the pair's projection requests in merge order (always pair
-    // order, always one thread): first sighting of a key is a logical
-    // miss, every later one a logical hit — the job-count-independent
-    // ledger the raw cache counters cannot provide.
+    // Replay the pair's projection requests in pair order: first
+    // sighting of a key is a logical miss, every later one a logical
+    // hit.
     for (uint64_t Ref : R.CacheRefs) {
       if (SeenCacheRefs.insert(Ref).second)
         ++NumLogicalCacheMisses;
       else
         ++NumLogicalCacheHits;
     }
-    NumEliminationSteps.fetch_add(R.EliminationSteps,
-                                  std::memory_order_relaxed);
+    NumEliminationSteps += R.EliminationSteps;
   };
 
-  if (!Options.Pool) {
-    // Serial path: pairs share the cumulative budget, preserving the
-    // historical "one budget caps the whole analysis" semantics.
+  if (!Options.Supervised) {
+    // Unsupervised: pairs share the cumulative budget, so one budget caps
+    // the whole analysis.
     for (const PairTask &T : Pairs) {
       PairResult R;
       analyzePair(Nest, T, Budget, R);
@@ -756,44 +751,31 @@ DependenceAnalysis::analyze(const LoopNest &Nest) const {
     return Out;
   }
 
-  // Parallel path, supervised: each pair attempt gets its own copy of the
-  // budget (shared absolute deadline, private step counters) so which
-  // pair degrades cannot depend on scheduling, then results merge in pair
-  // order — byte-identical output for every job count. analyzePair
-  // answers budget exhaustion and AlpException conservatively itself; the
-  // supervisor catches what escapes it (injected OOM, task deadline),
-  // retries on a shrunken budget, and degrades the pair to the same
-  // assumed-dependence answer when every attempt fails.
-  // Pairs are batched into coarser supervised tasks: one fine-grained task
-  // per pair made scheduling overhead (queueing, budget copies, outcome
-  // bookkeeping) rival the ~100us of real work per pair. The batch size is
-  // a fixed constant — never derived from the job count — so the partition,
-  // and with it every counter and retry decision, is identical for every
-  // --jobs value, and results still merge in pair order.
+  // Supervised: pairs run in batches of a fixed size, in order. Each pair
+  // gets its own copy of the batch attempt's budget, so which pair
+  // degrades does not depend on the pairs before it; results merge in
+  // pair order. analyzePair answers budget exhaustion and AlpException
+  // conservatively itself; the supervisor catches what escapes it
+  // (injected OOM, task deadline), retries on a shrunken budget, and
+  // degrades the batch to the same assumed-dependence answer when every
+  // attempt fails.
   constexpr size_t BatchSize = 8;
   const size_t NumBatches = (Pairs.size() + BatchSize - 1) / BatchSize;
   std::vector<PairResult> Results(Pairs.size());
-  SupervisorOptions SOpts;
-  SOpts.MaxAttempts = Options.TaskAttempts;
-  SOpts.TaskDeadlineMs = Options.TaskDeadlineMs;
-  SOpts.Observe = Options.Observe;
-  Supervisor Sup(Options.Pool, Budget, SOpts);
+  Supervisor Sup(nullptr, Budget);
   std::vector<SupervisedOutcome> Outcomes =
       Sup.run(NumBatches, [&](size_t BI, ResourceBudget *B) {
         const size_t Begin = BI * BatchSize;
         const size_t End = std::min(Begin + BatchSize, Pairs.size());
         for (size_t I = Begin; I != End; ++I) {
           Results[I] = PairResult(); // Fresh slate on retry.
-          // Keep the historical "null budget = unlimited" fast path unless
-          // a per-task deadline needs the supervisor's budget to carry it.
-          if (!Budget && !Options.TaskDeadlineMs) {
+          // Keep the "null budget = unlimited" fast path.
+          if (!Budget) {
             analyzePair(Nest, Pairs[I], nullptr, Results[I]);
             continue;
           }
-          // Each pair still gets a private copy of this attempt's budget
-          // (fresh counters, same limits, shared deadline/cancel) — exactly
-          // what it had as its own supervised task — so which pair degrades
-          // stays independent of both scheduling and batching.
+          // A private copy of this attempt's budget: fresh counters, same
+          // limits, shared deadline and cancel flag.
           ResourceBudget PairBudget = B->degradedCopy(1.0);
           analyzePair(Nest, Pairs[I], &PairBudget, Results[I]);
         }

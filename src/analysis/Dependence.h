@@ -22,10 +22,9 @@
 /// Tier-2 bounds projections are memoized through a DependenceCache keyed
 /// by canonical constraint-system keys (linalg/SystemKey.h): same-shape
 /// access pairs — the common case in stencil codes — share one projection.
-/// With a ThreadPool attached, access pairs are analyzed concurrently;
-/// results are merged in pair order, so the output is byte-identical to a
-/// serial run (each pair gets its own copy of the resource budget so the
-/// degradation point cannot depend on thread scheduling).
+/// The budget is charged one of two ways: cumulatively across every pair
+/// (the default), or, with DependenceOptions::Supervised, per pair on its
+/// own budget copy inside supervised batches of pairs.
 ///
 /// These vectors drive the Wolf-Lam local phase (fully permutable bands,
 /// forall classification) and the tiling legality checks of Sec. 5.
@@ -40,7 +39,6 @@
 #include "support/Budget.h"
 #include "support/Trace.h"
 
-#include <atomic>
 #include <memory>
 #include <optional>
 #include <string>
@@ -48,8 +46,6 @@
 #include <vector>
 
 namespace alp {
-
-class ThreadPool;
 
 /// One component of a dependence vector.
 struct DepComponent {
@@ -110,23 +106,17 @@ struct DependenceOptions {
   /// Cache to memoize into; nullptr = the analysis owns a private one.
   /// Share one cache across analyses to reuse projections across nests.
   DependenceCache *SharedCache = nullptr;
-  /// Fan access pairs out over this pool; nullptr = serial. Any non-null
-  /// pool (even one thread) switches the budget to per-pair copies so the
-  /// answer is independent of the job count.
-  ThreadPool *Pool = nullptr;
   /// Span tracer for the exact tier (one "dep.exact" span per pair that
   /// reaches tier 2); nullptr = no tracing. Counters are not collected
   /// here — snapshot tierStats() and publish it into a MetricsRegistry.
   Tracer *Trace = nullptr;
-  /// Supervision of the parallel path (ignored without a Pool): total
-  /// attempts per pair task and an optional per-attempt wall-clock
-  /// deadline (0 = none). A pair whose every attempt fails with an
-  /// escaped exception — injected OOM, deadline — degrades to the same
-  /// conservative assumed-dependence answer as a blown budget.
-  unsigned TaskAttempts = 2;
-  uint64_t TaskDeadlineMs = 0;
-  /// Metrics sink for the supervisor's driver.* counters; may be empty.
-  TraceContext Observe;
+  /// false: one cumulative budget caps the whole analysis. true: pairs
+  /// run in fixed batches of 8 under a default-policy Supervisor, each
+  /// pair on its own copy of the budget, so which pair degrades does not
+  /// depend on the pairs before it. A batch whose every attempt fails
+  /// with an escaped exception — injected OOM, deadline — degrades to the
+  /// same conservative assumed-dependence answer as a blown budget.
+  bool Supervised = false;
 };
 
 /// Counters of one analysis run: how far pairs got down the tier ladder,
@@ -144,15 +134,15 @@ struct DependenceTierStats {
   /// The deterministic cache ledger: projections replayed in pair-merge
   /// order, a lookup counting as a hit iff an earlier pair (in merge
   /// order) of this instance already produced its key. Unlike the raw
-  /// CacheHits/CacheMisses above — which come from the cache itself and
-  /// can vary with thread scheduling when workers race on one key — these
-  /// are byte-identical for every job count, so they are what publishTo
+  /// CacheHits/CacheMisses above — which come from the cache itself and,
+  /// with a SharedCache, include every other analysis using it — these
+  /// depend only on this instance's pairs, so they are what publishTo
   /// reports as counters (the raw values publish as gauges).
   uint64_t LogicalCacheHits = 0;
   uint64_t LogicalCacheMisses = 0;
   /// Fourier-Motzkin elimination steps consumed by the exact tier, summed
   /// per pair. A cache hit charges nothing, so with a SharedCache this
-  /// total depends on which worker populated the cache first — it
+  /// total depends on which analysis populated the cache first — it
   /// publishes as a gauge, not a counter.
   uint64_t EliminationSteps = 0;
 
@@ -182,7 +172,7 @@ public:
   DependenceTierStats tierStats() const;
 
   /// All dependences of \p Nest (flow, anti, and output), per carrying
-  /// level, in deterministic pair order regardless of Options.Pool.
+  /// level, in deterministic pair order.
   std::vector<Dependence> analyze(const LoopNest &Nest) const;
 
   /// Loop levels of \p Nest that carry no dependence when all enclosing
@@ -198,7 +188,7 @@ public:
 
 private:
   /// One access pair to test, and everything its test produced. Results
-  /// are kept per pair so a parallel run can merge them in pair order.
+  /// are kept per pair so a supervised run can merge them in pair order.
   struct PairTask {
     unsigned SStmt = 0, SAcc = 0, TStmt = 0, TAcc = 0;
   };
@@ -223,17 +213,16 @@ private:
   DependenceCache *Cache = nullptr; // Null when memoization is off.
   mutable bool Degraded = false;
   mutable std::vector<std::string> Warnings;
-  /// Tier counters (atomic: pairs are tested concurrently under a pool).
-  mutable std::atomic<uint64_t> NumPairs{0};
-  mutable std::atomic<uint64_t> NumGcdIndependent{0};
-  mutable std::atomic<uint64_t> NumBanerjeeIndependent{0};
-  mutable std::atomic<uint64_t> NumExactTested{0};
-  /// Merge-order cache ledger (written only on the merging thread) and
-  /// the per-pair elimination-step total.
+  /// Tier counters.
+  mutable uint64_t NumPairs = 0;
+  mutable uint64_t NumGcdIndependent = 0;
+  mutable uint64_t NumBanerjeeIndependent = 0;
+  mutable uint64_t NumExactTested = 0;
+  /// Merge-order cache ledger and the per-pair elimination-step total.
   mutable std::unordered_set<uint64_t> SeenCacheRefs;
   mutable uint64_t NumLogicalCacheHits = 0;
   mutable uint64_t NumLogicalCacheMisses = 0;
-  mutable std::atomic<uint64_t> NumEliminationSteps{0};
+  mutable uint64_t NumEliminationSteps = 0;
 
   /// Tests one access pair under \p PairBudget (nullable); fills \p Res.
   void analyzePair(const LoopNest &Nest, const PairTask &Task,

@@ -15,9 +15,9 @@
 /// degraded on budget exhaustion or overflow are never cached, because a
 /// larger budget could do better on the next attempt).
 ///
-/// Thread-safety: all operations take an internal mutex; one cache may be
-/// shared by every worker of the parallel analysis driver. Hit/miss
-/// counters are kept under the same lock.
+/// Thread-safety: all operations take an internal mutex, so one cache may
+/// be shared across threads. Hit/miss counters are kept under the same
+/// lock.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -67,7 +67,7 @@ struct CompileRequest {
   std::shared_ptr<const Program> PreParsed;
   std::shared_ptr<const DiagnosticEngine> PreParsedDiags;
 
-  /// Decomposition pipeline knobs (budget, jobs, policy, observability is
+  /// Decomposition pipeline knobs (budget, policy, observability is
   /// overwritten by the session when WantTrace/WantStats is set).
   DriverOptions Driver;
 

@@ -6,12 +6,10 @@
 #include "support/Arena.h"
 #include "support/Diagnostics.h"
 #include "support/FailPoint.h"
-#include "support/ThreadPool.h"
 #include "transform/Unimodular.h"
 
 #include <algorithm>
 #include <chrono>
-#include <optional>
 #include <set>
 #include <sstream>
 
@@ -37,21 +35,12 @@ alp::decomposeOrError(Program &P, const MachineParams &Machine,
   const uint64_t HeapSpillsBefore = containerHeapSpills();
   const uint64_t ArenaBytesBefore = arenaBytesAllocated();
   // Per-run budget copy: fresh counters, caller's limits. Arm the
-  // deadline before the pool fans budget copies out (Budget.h contract).
+  // deadline before the supervised stages copy the budget (Budget.h
+  // contract).
   ResourceBudget Budget = Opts.Budget;
   if (Opts.DeadlineMs)
     Budget.setDeadlineIn(std::chrono::milliseconds(Opts.DeadlineMs));
-  // One pool and one projection cache for the whole run. Jobs == 1 still
-  // goes through the pool's task decomposition (serially), keeping the
-  // budget semantics — and therefore the output — independent of the job
-  // count. A caller-injected pool (Opts.Pool — the batch session's warm
-  // workers) is used as-is: its threads keep their thread-local arena
-  // blocks across runs, which is what makes a warm batch allocation-free.
-  std::optional<ThreadPool> OwnedPool;
-  if (!Opts.Pool)
-    OwnedPool.emplace(Opts.Jobs ? Opts.Jobs
-                                : ThreadPool::hardwareConcurrency());
-  ThreadPool &Pool = Opts.Pool ? *Opts.Pool : *OwnedPool;
+  // One projection cache for the whole run.
   DependenceCache SharedCache;
   const TraceContext &Observe = Opts.Observe;
   TraceSpan PipelineSpan(Observe.Trace, "driver.decompose");
@@ -64,7 +53,6 @@ alp::decomposeOrError(Program &P, const MachineParams &Machine,
     TraceSpan Span(Observe.Trace, "driver.local_phase");
     std::vector<std::string> LPWarnings;
     LocalPhaseOptions LPOpts;
-    LPOpts.Pool = &Pool;
     LPOpts.SharedCache = &SharedCache;
     LPOpts.Observe = Observe;
     LPOpts.TaskAttempts = Opts.TaskAttempts;
@@ -83,7 +71,6 @@ alp::decomposeOrError(Program &P, const MachineParams &Machine,
   DynOpts.Policy = Opts.Policy;
   DynOpts.ExcludeReadOnly = Opts.EnableReplication;
   DynOpts.Budget = &Budget;
-  DynOpts.Pool = &Pool;
   DynOpts.Observe = Observe;
   DynOpts.TaskAttempts = Opts.TaskAttempts;
   DynOpts.TaskDeadlineMs = Opts.TaskDeadlineMs;
@@ -340,9 +327,9 @@ alp::decomposeOrError(Program &P, const MachineParams &Machine,
     Observe.gauge("budget.used_solver_iterations",
                   static_cast<double>(Budget.UsedSolverIterations.load(
                       std::memory_order_relaxed)));
-    // Gauges, not counters: cache-hit timing across workers can shift how
-    // much scratch each run allocates, so the values are wall facts of
-    // this run rather than jobs-deterministic payload.
+    // Gauges, not counters: how much scratch a run allocates depends on
+    // how warm the thread's arena blocks already are, so the values are
+    // facts of this run rather than deterministic payload.
     Observe.gauge("linalg.allocs", static_cast<double>(containerHeapSpills() -
                                                        HeapSpillsBefore));
     Observe.gauge("linalg.arena_bytes",

@@ -31,7 +31,7 @@ namespace alp {
 
 /// Pipeline configuration. Sub-stage option structs are embedded members:
 /// the driver copies each template per stage invocation and fills the
-/// run-managed slots (Budget, Pool/SharedCache, seeds, preferences,
+/// run-managed slots (Budget, SharedCache, seeds, preferences,
 /// Observe) itself, so callers configure exactly one struct.
 struct DriverOptions {
   /// Run the Wolf-Lam local phase first (canonicalize loop order/kinds).
@@ -54,18 +54,13 @@ struct DriverOptions {
   /// Wall-clock deadline for the whole pipeline in milliseconds; 0 means
   /// none. Armed on the run's budget copy at entry.
   uint64_t DeadlineMs = 0;
-  /// Worker threads for the analysis phases (dependence pairs, per-nest
-  /// canonicalization, initial partition solves); 0 means one per
-  /// hardware thread. The pipeline always runs the same task
-  /// decomposition — each task on its own budget copy — so the output is
-  /// byte-identical for every value of Jobs.
-  unsigned Jobs = 1;
-  /// Supervised-driver policy (support/Supervisor.h), threaded into every
-  /// parallel fan-out: total attempts per task (first run + retries on a
-  /// shrunken budget) and a per-attempt wall-clock deadline in
-  /// milliseconds (0 = none; like DeadlineMs, an armed task deadline
-  /// trades jobs-determinism for boundedness). A task whose every attempt
-  /// fails degrades to its stage's conservative fallback, recorded in
+  /// Supervised-driver policy (support/Supervisor.h) for the per-task
+  /// stages (per-nest canonicalization, initial partition solves): total
+  /// attempts per task (first run + retries on a shrunken budget) and a
+  /// per-attempt wall-clock deadline in milliseconds (0 = none; like
+  /// DeadlineMs, an armed task deadline trades determinism for
+  /// boundedness). A task whose every attempt fails degrades to its
+  /// stage's conservative fallback, recorded in
   /// ProgramDecomposition::Degradations.
   unsigned TaskAttempts = 2;
   uint64_t TaskDeadlineMs = 0;
@@ -78,18 +73,9 @@ struct DriverOptions {
   OrientationOptions Orientation;
   /// Observability sinks (span tracer + metrics registry, either or both
   /// null) threaded into every stage. Counters published here are
-  /// byte-identical for every value of Jobs; gauges and span timings are
-  /// not (docs/OBSERVABILITY.md).
+  /// deterministic; gauges and span timings are not
+  /// (docs/OBSERVABILITY.md).
   TraceContext Observe;
-  /// Caller-provided worker pool. Null (the default) makes the driver own
-  /// a fresh pool of `Jobs` workers per run; non-null reuses the given
-  /// pool — Jobs is then ignored and the batch session's persistent
-  /// workers keep their warm thread-local arena blocks across requests.
-  /// Nested sections on a busy pool degrade to serial in the caller
-  /// (ThreadPool.h), so a batch fanning requests over the same pool runs
-  /// each request's analysis serially on one warm worker. The output is
-  /// byte-identical either way (the Jobs determinism contract).
-  ThreadPool *Pool = nullptr;
 };
 
 /// Runs the whole pipeline fail-soft: never aborts on user-reachable

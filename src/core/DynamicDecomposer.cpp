@@ -4,11 +4,9 @@
 
 #include "support/FailPoint.h"
 #include "support/Supervisor.h"
-#include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <functional>
-#include <optional>
 #include <set>
 
 using namespace alp;
@@ -74,7 +72,6 @@ DynamicResult greedyJoin(const Program &P, const CostModel &CM,
                          const std::set<unsigned> &GlobalWritten,
                          const PartitionOptions &Seeds) {
   ResourceBudget *Budget = DOpts.Budget;
-  ThreadPool *Pool = DOpts.Pool;
   DynamicResult R;
 
   auto SolveWith = [&](const std::vector<unsigned> &Ids,
@@ -87,9 +84,6 @@ DynamicResult greedyJoin(const Program &P, const CostModel &CM,
     Opts.Observe = DOpts.Observe;
     return DOpts.UseBlocking ? solvePartitionsWithBlocks(IG, Opts)
                              : solvePartitions(IG, Opts);
-  };
-  auto Solve = [&](const std::vector<unsigned> &Ids) {
-    return SolveWith(Ids, Budget);
   };
 
   // Union-find over nests, on a flat array indexed by nest id (ids are
@@ -117,48 +111,40 @@ DynamicResult greedyJoin(const Program &P, const CostModel &CM,
     return Out;
   };
 
-  // Initial per-nest partitions and benefits. With a pool the solves fan
-  // out supervised, each attempt on a private budget copy; results land
-  // in nest order either way, so the join loop below sees identical
-  // inputs for any job count.
+  // Initial per-nest partitions and benefits, supervised: each solve
+  // attempt runs on a private copy of the budget, and results land in
+  // nest order.
   std::vector<PartitionResult> Initial(Nests.size());
   {
     TraceSpan InitSpan(DOpts.Observe.Trace, "dynamic.initial_solves");
-    if (!Pool) {
-      // Serial path: solves share the cumulative budget (historical
-      // semantics; the solver degrades itself on exhaustion).
-      for (size_t I = 0; I != Nests.size(); ++I)
-        Initial[I] = SolveWith({Nests[I]}, Budget);
-    } else {
-      SupervisorOptions SOpts;
-      SOpts.MaxAttempts = DOpts.TaskAttempts;
-      SOpts.TaskDeadlineMs = DOpts.TaskDeadlineMs;
-      SOpts.Observe = DOpts.Observe;
-      Supervisor Sup(Pool, Budget, SOpts);
-      std::vector<SupervisedOutcome> Outcomes =
-          Sup.run(Nests.size(), [&](size_t I, ResourceBudget *B) {
-            Initial[I] = PartitionResult(); // Fresh slate on retry.
-            ResourceBudget *TaskBudget =
-                Budget || DOpts.TaskDeadlineMs ? B : nullptr;
-            Initial[I] = SolveWith({Nests[I]}, TaskBudget);
-            return Status::ok();
-          });
-      for (size_t I = 0; I != Nests.size(); ++I) {
-        const SupervisedOutcome &O = Outcomes[I];
-        if (O.degraded()) {
-          // Every attempt threw past the solver's own fallbacks (e.g. an
-          // injected OOM building the interference graph): substitute
-          // the trivial partition, which the per-component degradation
-          // reporting downstream surfaces like any blown solve.
-          InterferenceGraph IG(P, {Nests[I]},
-                               /*IncludeReadOnly=*/!DOpts.ExcludeReadOnly,
-                               &GlobalWritten);
-          Initial[I] = trivialPartition(IG, O.Result);
-        } else if (O.retried()) {
-          R.Warnings.push_back("initial partition solve of nest " +
-                               std::to_string(Nests[I]) + " " +
-                               Supervisor::describe(O, I));
-        }
+    SupervisorOptions SOpts;
+    SOpts.MaxAttempts = DOpts.TaskAttempts;
+    SOpts.TaskDeadlineMs = DOpts.TaskDeadlineMs;
+    SOpts.Observe = DOpts.Observe;
+    Supervisor Sup(nullptr, Budget, SOpts);
+    std::vector<SupervisedOutcome> Outcomes =
+        Sup.run(Nests.size(), [&](size_t I, ResourceBudget *B) {
+          Initial[I] = PartitionResult(); // Fresh slate on retry.
+          ResourceBudget *TaskBudget =
+              Budget || DOpts.TaskDeadlineMs ? B : nullptr;
+          Initial[I] = SolveWith({Nests[I]}, TaskBudget);
+          return Status::ok();
+        });
+    for (size_t I = 0; I != Nests.size(); ++I) {
+      const SupervisedOutcome &O = Outcomes[I];
+      if (O.degraded()) {
+        // Every attempt threw past the solver's own fallbacks (e.g. an
+        // injected OOM building the interference graph): substitute the
+        // trivial partition, which the per-component degradation
+        // reporting downstream surfaces like any blown solve.
+        InterferenceGraph IG(P, {Nests[I]},
+                             /*IncludeReadOnly=*/!DOpts.ExcludeReadOnly,
+                             &GlobalWritten);
+        Initial[I] = trivialPartition(IG, O.Result);
+      } else if (O.retried()) {
+        R.Warnings.push_back("initial partition solve of nest " +
+                             std::to_string(Nests[I]) + " " +
+                             Supervisor::describe(O, I));
       }
     }
   }
@@ -179,187 +165,64 @@ DynamicResult greedyJoin(const Program &P, const CostModel &CM,
                    });
 
   if (DOpts.Policy != JoinPolicy::NeverJoin) {
+    // The join loop is sequential by nature: each accept changes the
+    // components the next edge sees. Every trial solve runs inline on the
+    // shared budget.
     TraceSpan JoinSpan(DOpts.Observe.Trace, "dynamic.join_loop");
-
-    // Per-root mutation stamps. A root can absorb a component and keep
-    // its id (Parent[RU] = RV leaves RV a root with more members), so
-    // "same root ids" is not enough to prove a speculative trial solve
-    // still describes the current components — the stamp is bumped on
-    // every accept and compared too.
-    std::vector<uint64_t> Stamp(MaxNest + 1, 0);
-
-    // One speculative join evaluation, solved against a snapshot of the
-    // components taken at chunk-build time.
-    struct JoinTrial {
-      bool Solved = false;          ///< A trial solve ran for this edge.
-      unsigned RU = 0, RV = 0;      ///< Snapshot roots.
-      uint64_t StampU = 0, StampV = 0;
-      std::vector<unsigned> Joined; ///< Snapshot member union.
-      std::optional<ResourceBudget> B; ///< Private budget copy.
-      uint64_t Steps0 = 0, Iters0 = 0; ///< Copy's counters at build time.
+    for (const CommEdge &E : Edges) {
+      unsigned RU = Find(E.U), RV = Find(E.V);
+      if (RU == RV)
+        continue;
+      // Purely sequential loops are components by themselves.
+      if (Sequential.count(E.U) || Sequential.count(E.V))
+        continue;
+      // A fault abandons the join: components stay apart, the edge stays
+      // cut — a valid (merely less joined) decomposition, recorded in the
+      // ledger so it can never pass as the fault-free answer. The solver
+      // degrades itself on budget/overflow; what escapes it is allocation
+      // failure building the joined graph, answered the same way.
+      auto Abandon = [&](const Status &Why) {
+        DOpts.Observe.count("dynamic.joins_abandoned");
+        R.Warnings.push_back("join of nests " + std::to_string(E.U) +
+                             " and " + std::to_string(E.V) + " abandoned (" +
+                             Why.str() + ")");
+      };
+      Status JoinFault = Status::ok();
+      try {
+        JoinFault = FpDynamicJoin.evaluate(Budget);
+      } catch (...) {
+        JoinFault = statusFromCurrentException();
+      }
+      if (!JoinFault) {
+        Abandon(JoinFault);
+        continue;
+      }
+      DOpts.Observe.count("dynamic.joins_attempted");
+      std::vector<unsigned> Joined = Members(RU);
+      std::vector<unsigned> MV = Members(RV);
+      Joined.insert(Joined.end(), MV.begin(), MV.end());
       PartitionResult JP;
-      Status Outcome = Status::ok();
-    };
-
-    // The join loop is the driver's scaling bottleneck: each iteration
-    // re-solves a joined partition, serially. Chunked speculation
-    // trial-solves the next JoinChunk edges in parallel against the
-    // current component snapshot, then replays the chunk serially with
-    // the exact historical accept logic. A trial invalidated by an
-    // earlier accept in its own chunk is discarded and re-solved inline,
-    // so the decomposition, warnings, failpoint schedule, and counter
-    // totals stay byte-identical to the serial loop — and identical for
-    // every job count, which is the determinism contract the driver
-    // tests pin. The chunk size is a constant, never derived from the
-    // job count, for the same reason. ForceSingle accepts every edge, so
-    // every speculative trial after the first would be stale; it keeps
-    // the serial path.
-    constexpr size_t JoinChunk = 8;
-    const bool Speculate =
-        Pool != nullptr && DOpts.Policy != JoinPolicy::ForceSingle;
-
-    size_t Begin = 0;
-    while (Begin != Edges.size()) {
-      const size_t End =
-          Speculate ? std::min(Edges.size(), Begin + JoinChunk) : Begin + 1;
-      std::vector<JoinTrial> Trials(End - Begin);
-      if (Speculate) {
-        // Build the trial set serially: Find path-halves Parent and the
-        // member scan reads it, so snapshots cannot be taken from worker
-        // threads. Edges already joined or touching sequential nests are
-        // skipped exactly as the serial loop would skip them.
-        std::vector<size_t> Work;
-        for (size_t I = Begin; I != End; ++I) {
-          const CommEdge &E = Edges[I];
-          unsigned RU = Find(E.U), RV = Find(E.V);
-          if (RU == RV || Sequential.count(E.U) || Sequential.count(E.V))
-            continue;
-          JoinTrial &T = Trials[I - Begin];
-          T.RU = RU;
-          T.RV = RV;
-          T.StampU = Stamp[RU];
-          T.StampV = Stamp[RV];
-          T.Joined = Members(RU);
-          std::vector<unsigned> MV = Members(RV);
-          T.Joined.insert(T.Joined.end(), MV.begin(), MV.end());
-          if (Budget) {
-            // Plain copy: consumed counters carry over (the same
-            // semantics the supervised initial solves give attempt 0),
-            // and the deltas are applied back when the trial is used.
-            T.B.emplace(*Budget);
-            T.Steps0 =
-                T.B->UsedEliminationSteps.load(std::memory_order_relaxed);
-            T.Iters0 =
-                T.B->UsedSolverIterations.load(std::memory_order_relaxed);
-          }
-          Work.push_back(I);
-        }
-        if (!Work.empty()) {
-          std::vector<Status> Statuses =
-              Pool->parallelForStatus(Work.size(), [&](size_t W) {
-                JoinTrial &T = Trials[Work[W] - Begin];
-                T.JP = SolveWith(T.Joined, T.B ? &*T.B : nullptr);
-              });
-          for (size_t W = 0; W != Work.size(); ++W) {
-            JoinTrial &T = Trials[Work[W] - Begin];
-            T.Solved = true;
-            T.Outcome = Statuses[W];
-          }
-        }
+      try {
+        JP = SolveWith(Joined, Budget);
+      } catch (...) {
+        Abandon(statusFromCurrentException());
+        continue;
       }
-
-      // Serial replay: the historical join loop, verbatim, consuming a
-      // trial's answer whenever its snapshot is still current.
-      for (size_t I = Begin; I != End; ++I) {
-        const CommEdge &E = Edges[I];
-        unsigned RU = Find(E.U), RV = Find(E.V);
-        if (RU == RV)
-          continue;
-        // Purely sequential loops are components by themselves.
-        if (Sequential.count(E.U) || Sequential.count(E.V))
-          continue;
-        // A fault here abandons the join: components stay apart, the edge
-        // stays cut — a valid (merely less joined) decomposition, recorded
-        // in the ledger so it can never pass as the fault-free answer.
-        Status JoinFault = Status::ok();
-        try {
-          JoinFault = FpDynamicJoin.evaluate(Budget);
-        } catch (...) {
-          JoinFault = statusFromCurrentException();
-        }
-        if (!JoinFault) {
-          DOpts.Observe.count("dynamic.joins_abandoned");
-          R.Warnings.push_back("join of nests " + std::to_string(E.U) +
-                               " and " + std::to_string(E.V) +
-                               " abandoned (" + JoinFault.str() + ")");
-          continue;
-        }
-        DOpts.Observe.count("dynamic.joins_attempted");
-        JoinTrial &T = Trials[I - Begin];
-        const bool TrialValid = T.Solved && T.RU == RU && T.RV == RV &&
-                                T.StampU == Stamp[RU] &&
-                                T.StampV == Stamp[RV];
-        PartitionResult JP;
-        if (TrialValid) {
-          if (Budget && T.B) {
-            // Re-apply the trial's consumption to the shared budget,
-            // exactly what an inline solve would have charged.
-            Budget->UsedEliminationSteps.fetch_add(
-                T.B->UsedEliminationSteps.load(std::memory_order_relaxed) -
-                    T.Steps0,
-                std::memory_order_relaxed);
-            Budget->UsedSolverIterations.fetch_add(
-                T.B->UsedSolverIterations.load(std::memory_order_relaxed) -
-                    T.Iters0,
-                std::memory_order_relaxed);
-          }
-          if (!T.Outcome) {
-            // The solver degrades itself on budget/overflow; what escapes
-            // is allocation failure building the joined graph. Same
-            // answer as a fault: abandon the join, keep both components.
-            DOpts.Observe.count("dynamic.joins_abandoned");
-            R.Warnings.push_back("join of nests " + std::to_string(E.U) +
-                                 " and " + std::to_string(E.V) +
-                                 " abandoned (" + T.Outcome.str() + ")");
-            continue;
-          }
-          JP = std::move(T.JP);
-        } else {
-          // No trial (serial path) or a stale one (an earlier accept in
-          // this chunk changed an endpoint's component): solve inline on
-          // the shared budget — the historical semantics.
-          std::vector<unsigned> Joined = Members(RU);
-          std::vector<unsigned> MV = Members(RV);
-          Joined.insert(Joined.end(), MV.begin(), MV.end());
-          try {
-            JP = Solve(Joined);
-          } catch (...) {
-            Status Why = statusFromCurrentException();
-            DOpts.Observe.count("dynamic.joins_abandoned");
-            R.Warnings.push_back("join of nests " + std::to_string(E.U) +
-                                 " and " + std::to_string(E.V) +
-                                 " abandoned (" + Why.str() + ")");
-            continue;
-          }
-        }
-        double JoinedBenefit = CM.totalBenefit(JP);
-        // Cross-component reorganization cost eliminated by the join.
-        double Saved = 0.0;
-        for (const CommEdge &Other : Edges)
-          if ((Find(Other.U) == RU && Find(Other.V) == RV) ||
-              (Find(Other.U) == RV && Find(Other.V) == RU))
-            Saved += Other.Weight;
-        double Delta = JoinedBenefit - Benefit[RU] - Benefit[RV] + Saved;
-        bool Accept = DOpts.Policy == JoinPolicy::ForceSingle || Delta > 0.0;
-        if (!Accept)
-          continue;
-        DOpts.Observe.count("dynamic.joins_kept");
-        Parent[RU] = RV;
-        ++Stamp[RV];
-        Parts[RV] = std::move(JP);
-        Benefit[RV] = JoinedBenefit;
-      }
-      Begin = End;
+      double JoinedBenefit = CM.totalBenefit(JP);
+      // Cross-component reorganization cost eliminated by the join.
+      double Saved = 0.0;
+      for (const CommEdge &Other : Edges)
+        if ((Find(Other.U) == RU && Find(Other.V) == RV) ||
+            (Find(Other.U) == RV && Find(Other.V) == RU))
+          Saved += Other.Weight;
+      double Delta = JoinedBenefit - Benefit[RU] - Benefit[RV] + Saved;
+      bool Accept = DOpts.Policy == JoinPolicy::ForceSingle || Delta > 0.0;
+      if (!Accept)
+        continue;
+      DOpts.Observe.count("dynamic.joins_kept");
+      Parent[RU] = RV;
+      Parts[RV] = std::move(JP);
+      Benefit[RV] = JoinedBenefit;
     }
   }
 

@@ -25,8 +25,6 @@
 
 namespace alp {
 
-class ThreadPool;
-
 /// One edge of the communication graph (aggregated over arrays).
 struct CommEdge {
   unsigned U = 0, V = 0; ///< Nest ids, U < V.
@@ -76,16 +74,14 @@ struct DynamicDecomposerOptions {
   /// (they will be replicated by the Sec. 7.2 pass instead of
   /// constraining parallelism or joins).
   bool ExcludeReadOnly = false;
-  /// Optional budget for every partition solve of the run.
+  /// Optional budget for every partition solve of the run. Each initial
+  /// per-nest solve runs on its own copy; the join loop charges it
+  /// cumulatively.
   ResourceBudget *Budget = nullptr;
-  /// With a pool, the initial per-nest partition solves run concurrently
-  /// (each on its own budget copy); the greedy join loop itself is
-  /// inherently sequential. The result is identical for every job count.
-  ThreadPool *Pool = nullptr;
   /// Observability sink: "dynamic.*" spans/counters here, "partition.*"
   /// from the solves underneath.
   TraceContext Observe;
-  /// Supervision of the pooled initial solves (support/Supervisor.h):
+  /// Supervision of the initial per-nest solves (support/Supervisor.h):
   /// total attempts per solve task and an optional per-attempt wall-clock
   /// deadline (0 = none). A solve whose every attempt fails with an
   /// escaped exception degrades to the trivial partition of its nest.

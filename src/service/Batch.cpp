@@ -129,10 +129,9 @@ BatchSession::run(const std::vector<CompileRequest> &Items) {
   }
 
   // Pass 3 — compile the representatives under the Supervisor on the
-  // persistent pool. Each request's own driver reuses the same pool
-  // (nested sections degrade to serial on the warm worker) and publishes
-  // its counters into the shared aggregate registry; both are
-  // deterministic merges.
+  // persistent pool. Each compile runs whole on the worker that picked it
+  // up, with that thread's warm arena blocks, and publishes its counters
+  // into the shared aggregate registry (a deterministic merge).
   std::vector<CaptureResult> Captured(ToCompile.size());
   SupervisorOptions SOpts;
   SOpts.MaxAttempts = Opts.MaxAttempts;
@@ -145,7 +144,6 @@ BatchSession::run(const std::vector<CompileRequest> &Items) {
         clampDeadline(Req, Opts.RequestDeadlineMs);
         Req.PreParsed = Keys[I].Prog;
         Req.PreParsedDiags = Keys[I].Diags;
-        Req.Driver.Pool = &Pool;
         Req.Driver.Observe = TraceContext{nullptr, &Agg};
         Captured[K] = runSessionCaptured(Req);
         return Status::ok();

@@ -18,9 +18,8 @@
 ///      everything else (including parse failures, which have no key)
 ///      compiles;
 ///   3. compile: the representatives run under the Supervisor on the
-///      session's persistent pool. Each request's driver reuses that same
-///      pool (DriverOptions::Pool), so nested analysis fan-outs degrade to
-///      serial on a warm worker whose thread-local arena blocks persist
+///      session's persistent pool. A compile is single-threaded and runs
+///      whole on one worker, whose thread-local arena blocks persist
 ///      across requests — a warm batch is allocation-free in the linalg
 ///      steady state (ArenaTest.BatchSteadyStateAllocationFree);
 ///   4. merge, serially in request order: results land per item, compiled
@@ -74,8 +73,8 @@ struct BatchItemResult {
 };
 
 struct BatchOptions {
-  /// Persistent worker pool width; 0 = one per hardware thread. The same
-  /// pool serves the request fan-out and every request's inner driver.
+  /// Persistent worker pool width; 0 = one per hardware thread: how many
+  /// items are keyed and compiled concurrently.
   unsigned Jobs = 1;
   /// Shared result cache; null runs cache-less (every unique key
   /// compiles; duplicates still dedup within the batch).

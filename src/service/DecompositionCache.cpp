@@ -32,11 +32,9 @@ uint64_t alp::fnv1aHash(const std::string &Bytes) {
 }
 
 std::string alp::requestFingerprint(const CompileRequest &Req) {
-  // Every field that can change the answer bytes, in a fixed order.
-  // Driver.Jobs is deliberately absent (output is byte-identical for
-  // every value — the determinism contract); the Partition/Orientation
-  // seed templates are not reachable from a service request and are
-  // likewise excluded.
+  // Every field that can change the answer bytes, in a fixed order. The
+  // Partition/Orientation seed templates are not reachable from a service
+  // request and are excluded.
   const DriverOptions &D = Req.Driver;
   std::ostringstream OS;
   OS << "machine=" << Req.MachineName << " procs=" << Req.Procs

@@ -123,13 +123,12 @@ bool alp::parseServiceRequestFlags(const std::string &Line,
       {"--max-steps", "N", "", U64Flag(Opts.Budget.MaxEliminationSteps)},
       {"--max-iters", "N", "", U64Flag(Opts.Budget.MaxSolverIterations)},
       {"--deadline-ms", "N", "", U64Flag(Opts.DeadlineMs)},
+      // Accepted for alpc compatibility and ignored: a compile is
+      // single-threaded, and the reply never depended on the value.
       {"--jobs", "N", "",
-       [&](const std::string &V) {
+       [](const std::string &V) {
          uint64_t U;
-         if (!parseU64(V, U))
-           return false;
-         Opts.Jobs = static_cast<unsigned>(U);
-         return true;
+         return parseU64(V, U);
        }},
       {"--task-retries", "N", "",
        [&](const std::string &V) {

@@ -5,7 +5,8 @@
 /// The analysis driver's hot loops (Fourier-Motzkin elimination, rref,
 /// feasibility probes) build and discard many small containers per task;
 /// routing that churn through a per-thread arena makes the steady state
-/// allocation-free and keeps `--jobs N` workers off the global allocator.
+/// allocation-free and keeps concurrent `--batch` compiles off the global
+/// allocator.
 ///
 /// The discipline follows the "founding scope" model: the scope that founds
 /// a computation (an ArenaScope on the stack) owns every allocation made

@@ -16,12 +16,12 @@
 /// cumulatively across all its solver invocations.
 ///
 /// Thread-safety: the consumed counters are atomics, so one budget may be
-/// charged from several workers without data races. The parallel analysis
-/// driver nevertheless hands each task its own *copy* (per-worker step
-/// counters) so that which task degrades first cannot depend on thread
-/// scheduling; the wall-clock Deadline is an absolute time point and is
+/// charged from several threads without data races. The supervised
+/// driver (support/Supervisor.h) hands each task its own *copy* (fresh
+/// step counters) so that which task degrades cannot depend on the tasks
+/// before it; the wall-clock Deadline is an absolute time point and is
 /// therefore shared by value across those copies. Arm the deadline
-/// (setDeadlineIn) before fanning copies out, never concurrently.
+/// (setDeadlineIn) before making copies, never concurrently.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -52,7 +52,7 @@ struct ResourceBudget {
   /// Absolute wall-clock deadline. Unset = none.
   std::optional<std::chrono::steady_clock::time_point> Deadline;
   /// Cooperative cancellation token (nullptr = none): the supervised
-  /// parallel driver points task-budget copies at one flag so a task that
+  /// driver points task-budget copies at one flag so a task that
   /// is past its deadline, or a shutting-down supervisor, can stop every
   /// in-flight solver at its next budget charge. Checked wherever the
   /// deadline is.

@@ -31,11 +31,13 @@
 ///
 /// `count` caps the number of triggers (0 or absent = every hit).
 ///
-/// Determinism: with an unbounded count every task that reaches the site
-/// faults, so which task degrades cannot depend on thread scheduling and
-/// `alpc --jobs N` output stays byte-identical for every N. A bounded
-/// count consumes triggers in hit order, which under `--jobs > 1` races —
-/// use bounded counts with `--jobs 1` (the chaos harness does).
+/// Determinism: a single compile is single-threaded, so it consumes
+/// triggers in one fixed hit order. Under `alpc --batch --jobs N` with
+/// N > 1, programs compile concurrently: an unbounded count still faults
+/// every task that reaches the site, so the batch report stays
+/// byte-identical for every N, but a bounded count is consumed in a racy
+/// cross-program order — use bounded counts with `--jobs 1` there (the
+/// chaos harness does).
 ///
 //===----------------------------------------------------------------------===//
 

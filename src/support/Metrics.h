@@ -13,16 +13,16 @@
 ///
 ///  * counters — monotonic uint64 totals. Every published counter is
 ///    *deterministic*: adds commute and the instrumented code charges the
-///    same totals for every --jobs value (per-task budget copies, the
-///    merge-order cache ledger), so counter snapshots are byte-identical
-///    across job counts.
+///    same totals on every run (per-task budget copies, the merge-order
+///    cache ledger), so counter snapshots are byte-identical across runs
+///    and across `alpc --batch --jobs` values.
 ///  * gauges — point-in-time doubles (wall times, cache occupancy, the
 ///    cache's raw lifetime hit/miss totals). Gauges may legitimately vary
 ///    run to run or with thread scheduling and are therefore kept out of
 ///    determinism comparisons.
 ///
-/// Thread-safety: all operations take an internal mutex; workers of the
-/// parallel analysis driver may publish concurrently. Registries are
+/// Thread-safety: all operations take an internal mutex; concurrent
+/// compiles of a batch may publish concurrently. Registries are
 /// plumbed by pointer through TraceContext (support/Trace.h); a null
 /// registry disables collection at near-zero cost.
 ///

@@ -1,4 +1,4 @@
-//===- support/Supervisor.cpp - Supervised parallel task driver -----------===//
+//===- support/Supervisor.cpp - Supervised task driver --------------------===//
 
 #include "support/Supervisor.h"
 
@@ -98,7 +98,7 @@ std::vector<SupervisedOutcome> Supervisor::run(size_t N, const Task &T) {
     DeadlineHits += O.DeadlineHit ? 1 : 0;
   }
   // Counters are index-order aggregates, so they are byte-identical for
-  // every --jobs value (see the determinism caveat in the header).
+  // every pool width (see the determinism caveat in the header).
   Opts.Observe.count("driver.tasks_supervised", N);
   Opts.Observe.count("driver.tasks_retried", Retried);
   Opts.Observe.count("driver.tasks_degraded", Degraded);

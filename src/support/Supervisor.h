@@ -1,9 +1,11 @@
-//===- support/Supervisor.h - Supervised parallel task driver ---*- C++ -*-===//
+//===- support/Supervisor.h - Supervised task driver ------------*- C++ -*-===//
 ///
 /// \file
-/// The defense layer between the parallel analysis driver and its tasks.
-/// ThreadPool::parallelFor guarantees every index runs and captures what
-/// it throws; the Supervisor adds policy on top:
+/// The defense layer between a driver and its tasks. Inside one compile
+/// the Supervisor runs the per-nest and per-batch tasks serially (no
+/// pool); the batch session runs its per-program compiles under one on
+/// its pool, where ThreadPool::parallelFor guarantees every index runs and
+/// captures what it throws. The Supervisor adds policy on top:
 ///
 ///  * per-task deadlines — each attempt runs on a budget copy whose
 ///    wall-clock deadline is the tighter of the pipeline deadline and
@@ -20,12 +22,12 @@
 ///  * a deterministic ledger — outcomes are merged in index order, so
 ///    the degradation report and the supervisor counters
 ///    (driver.tasks_retried / driver.tasks_degraded /
-///    driver.deadline_hits) are byte-identical for every --jobs value.
+///    driver.deadline_hits) do not depend on scheduling.
 ///
 /// Determinism caveat: deadlines and cancellation are wall-clock facts.
 /// With `TaskDeadlineMs = 0` and no cancellation (the default), outcomes
 /// are pure functions of the per-task budget limits and therefore
-/// jobs-deterministic; an armed deadline trades that for boundedness,
+/// deterministic; an armed deadline trades that for boundedness,
 /// exactly like DriverOptions::DeadlineMs always has.
 ///
 //===----------------------------------------------------------------------===//

@@ -181,13 +181,3 @@ void ThreadPool::parallelFor(size_t N,
     if (E)
       std::rethrow_exception(E);
 }
-
-void alp::parallelForN(ThreadPool *Pool, size_t N,
-                       const std::function<void(size_t)> &Fn) {
-  if (Pool) {
-    Pool->parallelFor(N, Fn);
-    return;
-  }
-  for (size_t I = 0; I != N; ++I)
-    Fn(I);
-}

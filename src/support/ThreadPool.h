@@ -1,11 +1,11 @@
 //===- support/ThreadPool.h - Work-queue thread pool ------------*- C++ -*-===//
 ///
 /// \file
-/// A small work-queue thread pool for the parallel analysis driver — no
-/// external dependencies, just std::thread. The driver fans independent
-/// compile-time work (dependence pairs, per-nest partition solves) across
-/// cores with parallelFor and merges results in deterministic index order,
-/// so parallel output is byte-identical to serial output.
+/// A small work-queue thread pool — no external dependencies, just
+/// std::thread. The batch session fans independent programs across cores
+/// with parallelFor and merges results in deterministic index order, so
+/// parallel output is byte-identical to serial output; alpd's connection
+/// workers run on one too.
 ///
 /// Determinism contract: parallelFor(N, Fn) invokes Fn exactly once for
 /// every index in [0, N); Fn(i) must write only to per-index state (or to
@@ -87,11 +87,6 @@ private:
   /// Guards against nested sections deadlocking on the shared queue.
   std::atomic<unsigned> ActiveSections{0};
 };
-
-/// parallelFor through a possibly-null pool: a null pool runs the same
-/// tasks serially in index order, preserving identical results.
-void parallelForN(ThreadPool *Pool, size_t N,
-                  const std::function<void(size_t)> &Fn);
 
 } // namespace alp
 

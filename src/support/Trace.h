@@ -4,10 +4,11 @@
 /// Where compile time goes: an RAII span tracer in the spirit of LLVM's
 /// -ftime-trace TimeProfiler. A TraceSpan measures one pipeline stage (or
 /// one per-nest / per-component task inside a stage) on the steady clock;
-/// spans are thread-aware — a span opened on a ThreadPool worker records
-/// that worker's thread ordinal, so `--jobs N` worker tasks render as
-/// separate rows nested (in time) under their enclosing phase span when
-/// the trace is loaded into chrome://tracing.
+/// spans are thread-aware — each span records its thread's ordinal, so
+/// programs compiled concurrently by `alpc --batch --jobs N` render as
+/// separate rows when the trace is loaded into chrome://tracing, while
+/// one compile's spans share a row, nested (in time) under their
+/// enclosing phase span.
 ///
 /// Cost model: tracing is opt-in by pointer. A null Tracer* makes
 /// TraceSpan construction a pointer test and nothing else — no clock

@@ -5,7 +5,6 @@
 #include "linalg/FourierMotzkin.h"
 #include "support/Diagnostics.h"
 #include "support/Supervisor.h"
-#include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <optional>
@@ -398,8 +397,7 @@ void alp::applyUnimodular(LoopNest &Nest, const IntMatrix &T) {
 namespace {
 
 /// Canonicalizes one nest with \p DA; appends the skip note to
-/// \p LPWarnings on failure. The fail-soft body shared by the serial and
-/// the parallel local phase.
+/// \p LPWarnings on failure. The fail-soft body of one local-phase task.
 void canonicalizeNest(Program &P, unsigned NI, const DependenceAnalysis &DA,
                       std::vector<std::string> &LPWarnings) {
   LoopNest &Nest = P.Nests[NI];
@@ -434,37 +432,9 @@ void alp::runLocalPhase(Program &P, ResourceBudget *Budget,
                         const LocalPhaseOptions &Opts) {
   const TraceContext &Observe = Opts.Observe;
   Observe.count("local.nests", P.Nests.size());
-  if (!Opts.Pool) {
-    // Serial path: one analysis, one cumulative budget across all nests
-    // (the historical semantics).
-    DependenceOptions DOpts;
-    DOpts.SharedCache = Opts.SharedCache;
-    DOpts.Trace = Observe.Trace;
-    DependenceAnalysis DA(P, Budget, DOpts);
-    std::vector<std::string> LPWarnings;
-    for (unsigned NI = 0; NI != P.Nests.size(); ++NI) {
-      TraceSpan Span(Observe.Trace, "local.canonicalize",
-                     static_cast<int64_t>(NI));
-      canonicalizeNest(P, NI, DA, LPWarnings);
-    }
-    Observe.count("local.nests_untransformed", LPWarnings.size());
-    if (Observe.Metrics)
-      DA.tierStats().publishTo(*Observe.Metrics);
-    if (Warnings) {
-      for (std::string &W : LPWarnings)
-        Warnings->push_back(std::move(W));
-      for (const std::string &W : DA.warnings())
-        Warnings->push_back(W);
-    }
-    return;
-  }
-
-  // Parallel path: nests fan out over the pool, each with a private
-  // analysis (sharing the projection cache) and a private budget copy.
-  // Warnings merge in nest order — transform notes first, then dependence
-  // notes, matching the serial layout — so the output is byte-identical
-  // for every job count. Nested pair-level parallelism inside the
-  // analysis degrades to serial automatically (ThreadPool nesting rule).
+  // Nests run supervised, in nest order, each with a private analysis
+  // (sharing the projection cache) on a private budget copy. Warnings
+  // merge in nest order: transform notes first, then dependence notes.
   struct NestOutcome {
     std::vector<std::string> LPWarnings;
     std::vector<std::string> DAWarnings;
@@ -475,7 +445,7 @@ void alp::runLocalPhase(Program &P, ResourceBudget *Budget,
   SOpts.MaxAttempts = Opts.TaskAttempts;
   SOpts.TaskDeadlineMs = Opts.TaskDeadlineMs;
   SOpts.Observe = Observe;
-  Supervisor Sup(Opts.Pool, Budget, SOpts);
+  Supervisor Sup(nullptr, Budget, SOpts);
   std::vector<SupervisedOutcome> SupOutcomes =
       Sup.run(P.Nests.size(), [&](size_t NI, ResourceBudget *B) {
         Outcomes[NI] = NestOutcome(); // Fresh slate on retry.
@@ -483,8 +453,8 @@ void alp::runLocalPhase(Program &P, ResourceBudget *Budget,
                        static_cast<int64_t>(NI));
         DependenceOptions DOpts;
         DOpts.SharedCache = Opts.SharedCache;
-        DOpts.Pool = Opts.Pool;
         DOpts.Trace = Observe.Trace;
+        DOpts.Supervised = true;
         ResourceBudget *NestBudget =
             Budget || Opts.TaskDeadlineMs ? B : nullptr;
         DependenceAnalysis DA(P, NestBudget, DOpts);
@@ -518,11 +488,8 @@ void alp::runLocalPhase(Program &P, ResourceBudget *Budget,
     Untransformed += O.LPWarnings.size();
   Observe.count("local.nests_untransformed", Untransformed);
   if (Observe.Metrics) {
-    // Sum the per-nest snapshots into one publish. Addition commutes, so
-    // totals are identical for every job count. (They can differ from the
-    // Pool=nullptr path: there one analysis spans all nests, so its
-    // logical cache ledger also spans nests; here each nest's ledger
-    // starts fresh.)
+    // Sum the per-nest snapshots into one publish; each nest's logical
+    // cache ledger starts fresh.
     DependenceTierStats Sum;
     for (const NestOutcome &O : Outcomes) {
       Sum.Pairs += O.Tiers.Pairs;

@@ -51,20 +51,16 @@ void applyUnimodular(LoopNest &Nest, const IntMatrix &T);
 CanonicalForm computeCanonicalForm(const LoopNest &Nest,
                                    const std::vector<Dependence> &Deps);
 
-/// Threading / memoization knobs of the local phase.
+/// Memoization / supervision knobs of the local phase.
 struct LocalPhaseOptions {
-  /// Fan nests out over this pool (nullptr = serial). Each nest gets its
-  /// own budget copy and warnings merge in nest order, so the output is
-  /// byte-identical for every job count.
-  ThreadPool *Pool = nullptr;
   /// Dependence-projection cache shared across nests (nullptr = each
   /// nest's analysis memoizes privately).
   DependenceCache *SharedCache = nullptr;
   /// Observability sink: one "local.canonicalize" span per nest (Detail =
   /// nest index), "local.*" and "dep.*" counters, tier stats aggregated
-  /// in nest order so totals are identical for every job count.
+  /// in nest order.
   TraceContext Observe;
-  /// Supervision of the pooled per-nest tasks (support/Supervisor.h):
+  /// Supervision of the per-nest tasks (support/Supervisor.h):
   /// total attempts per nest and an optional per-attempt wall-clock
   /// deadline (0 = none). A nest whose every attempt fails with an
   /// escaped exception is left untransformed (all loops sequential), the
@@ -81,7 +77,8 @@ struct LocalPhaseOptions {
 /// overflows 64-bit arithmetic is left in source order with all loops
 /// marked sequential and one loop per band — always legal, never tiled.
 /// One note per skipped nest is appended to \p Warnings when given; with
-/// \p Budget, dependence analysis degrades conservatively on exhaustion.
+/// \p Budget, each nest runs on its own copy of it and dependence analysis
+/// degrades conservatively on exhaustion.
 void runLocalPhase(Program &P, ResourceBudget *Budget = nullptr,
                    std::vector<std::string> *Warnings = nullptr,
                    const LocalPhaseOptions &Opts = LocalPhaseOptions());

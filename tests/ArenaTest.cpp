@@ -213,7 +213,6 @@ void expectZeroSteadyStateAllocs(const std::string &Path) {
   Program P = compile(readFile(Path));
   MachineParams M;
   DriverOptions Opts;
-  Opts.Jobs = 2;
   decomposeForTest(P, M, Opts); // Warm-up: thread-local arenas grow their blocks.
   const uint64_t SpillsBefore = containerHeapSpills();
   decomposeForTest(P, M, Opts);

@@ -1,6 +1,7 @@
 # Runs alpc twice on the same input with different --jobs values and
-# requires byte-identical stdout and equal exit codes: the parallel
-# analysis driver must not change the compiler's answer.
+# requires byte-identical stdout and equal exit codes: a single compile
+# is single-threaded, so neither the run nor the ignored --jobs value may
+# change the compiler's answer.
 #
 # Variables: ALPC (binary), INPUT (.alp file), JOBS_A, JOBS_B, and
 # optionally EXTRA (semicolon list of extra alpc flags, e.g. an unbounded

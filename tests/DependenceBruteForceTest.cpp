@@ -20,7 +20,6 @@
 
 #include "ir/Builder.h"
 #include "support/Rng.h"
-#include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
 
@@ -249,11 +248,11 @@ std::string depsFingerprint(const std::vector<Dependence> &Deps) {
 
 // The cheap tiers and the memoization layer are pure compile-time
 // optimizations: over the same random corpus the brute-force test uses,
-// every configuration — tiers on/off, cache on/off, serial or pooled —
-// must produce the identical dependence list.
+// every configuration — tiers on/off, cache on/off, one cumulative budget
+// or supervised per-pair budgets — must produce the identical dependence
+// list.
 TEST(DependenceEquivalenceTest, AllConfigurationsMatchUncachedExact) {
   Rng R(777);
-  ThreadPool Pool(4);
   for (unsigned Trial = 0; Trial != 30; ++Trial) {
     RandomNestConfig Cfg;
     Cfg.Depth = (Trial % 2) ? 3 : 2;
@@ -283,9 +282,9 @@ TEST(DependenceEquivalenceTest, AllConfigurationsMatchUncachedExact) {
     DependenceOptions Full;
     EXPECT_EQ(Ref, Run(Full)) << "trial " << Trial << " full";
 
-    DependenceOptions Parallel;
-    Parallel.Pool = &Pool;
-    EXPECT_EQ(Ref, Run(Parallel)) << "trial " << Trial << " parallel";
+    DependenceOptions PerPair;
+    PerPair.Supervised = true;
+    EXPECT_EQ(Ref, Run(PerPair)) << "trial " << Trial << " supervised";
 
     // Tier counters partition the pairs: every pair exits at exactly one
     // tier, and the cache only sees traffic from pairs that reached the

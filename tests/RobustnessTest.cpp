@@ -14,6 +14,7 @@
 #include "ir/Builder.h"
 #include "linalg/FourierMotzkin.h"
 #include "linalg/Rational.h"
+#include "service/Batch.h"
 #include "support/FailPoint.h"
 #include "support/Rng.h"
 
@@ -303,11 +304,10 @@ struct FailPointGuard {
   ~FailPointGuard() { FailPointRegistry::instance().reset(); }
 };
 
-Expected<ProgramDecomposition> decomposeMatmul(unsigned Jobs = 1) {
+Expected<ProgramDecomposition> decomposeMatmul() {
   Program P = compile(MatmulSrc);
   MachineParams M;
   DriverOptions Opts;
-  Opts.Jobs = Jobs;
   return decomposeOrError(P, M, Opts);
 }
 
@@ -385,7 +385,7 @@ TEST(RobustnessTest, FaultedPipelineEntryIsACleanError) {
 
 TEST(RobustnessTest, FaultedDriverTasksDegradeEverySupervisedStage) {
   // driver.task fires inside the Supervisor on every attempt of every
-  // parallel task (local phase, dependence pairs, initial partition
+  // supervised task (local phase, dependence pairs, initial partition
   // solves): all three stages must degrade and the pipeline still
   // produces a decomposition for the nest.
   FailPointGuard G("driver.task:throw");
@@ -396,15 +396,35 @@ TEST(RobustnessTest, FaultedDriverTasksDegradeEverySupervisedStage) {
 }
 
 TEST(RobustnessTest, InjectedFaultsAreJobsDeterministic) {
-  // Unbounded trigger counts fire on every hit, so which tasks degrade
-  // cannot depend on scheduling: the report must match across job counts.
+  // Unbounded trigger counts fire on every hit, so which compiles degrade
+  // cannot depend on scheduling: a batch compiled by one worker and by
+  // four must produce the same bytes, item by item and in its report.
   FailPointGuard G("analysis.dependence.pair:throw");
-  Expected<ProgramDecomposition> R1 = decomposeMatmul(1);
-  Expected<ProgramDecomposition> R4 = decomposeMatmul(4);
-  ASSERT_TRUE(R1.hasValue() && R4.hasValue());
-  EXPECT_EQ(R1->degradationReport(), R4->degradationReport());
-  Program P = compile(MatmulSrc);
-  EXPECT_EQ(printDecomposition(P, *R1), printDecomposition(P, *R4));
+  std::vector<CompileRequest> Items;
+  for (unsigned N = 31; N <= 143; N += 16) {
+    std::string Src = MatmulSrc;
+    Src.replace(Src.find("N = 63"), 6, "N = " + std::to_string(N));
+    CompileRequest Req;
+    Req.FileName = "mm_" + std::to_string(N) + ".alp";
+    Req.Source = std::move(Src);
+    Req.DoSpmd = true;
+    Items.push_back(std::move(Req));
+  }
+  BatchOptions One, Four;
+  One.Jobs = 1;
+  Four.Jobs = 4;
+  BatchSession S1(One), S4(Four);
+  std::vector<BatchItemResult> R1 = S1.run(Items);
+  std::vector<BatchItemResult> R4 = S4.run(Items);
+  ASSERT_EQ(R1.size(), Items.size());
+  ASSERT_EQ(R4.size(), Items.size());
+  for (size_t I = 0; I != Items.size(); ++I) {
+    EXPECT_EQ(R1[I].ExitCode, 4) << Items[I].FileName << R1[I].Error;
+    EXPECT_EQ(R1[I].ExitCode, R4[I].ExitCode) << Items[I].FileName;
+    EXPECT_EQ(R1[I].Output, R4[I].Output) << Items[I].FileName;
+    EXPECT_EQ(R1[I].Error, R4[I].Error) << Items[I].FileName;
+  }
+  EXPECT_EQ(S1.reportJson(), S4.reportJson());
 }
 
 TEST(RobustnessTest, FailpointSpecParsingRejectsGarbage) {

@@ -90,12 +90,6 @@ TEST(ThreadPoolTest, ConcurrencyOneSpawnsNoWorkersButCompletes) {
   EXPECT_EQ(std::accumulate(Counts.begin(), Counts.end(), 0), 100);
 }
 
-TEST(ThreadPoolTest, ParallelForNTreatsNullPoolAsSerial) {
-  std::vector<size_t> Order;
-  parallelForN(nullptr, 5, [&](size_t I) { Order.push_back(I); });
-  EXPECT_EQ(Order, (std::vector<size_t>{0, 1, 2, 3, 4}));
-}
-
 TEST(ThreadPoolTest, HardwareConcurrencyHasFloorOfOne) {
   EXPECT_GE(ThreadPool::hardwareConcurrency(), 1u);
 }

@@ -1,14 +1,15 @@
 //===- tests/TraceTest.cpp - Observability layer tests ---------------------===//
 //
-// Covers the tracer/metrics contract: span nesting under a multi-worker
-// run, the zero-allocation disabled path, Chrome trace well-formedness,
-// the stats golden counters, and --jobs counter determinism.
+// Covers the tracer/metrics contract: span nesting on the compile thread,
+// the zero-allocation disabled path, Chrome trace well-formedness, the
+// stats golden counters, and batch --jobs counter determinism.
 //
 //===----------------------------------------------------------------------===//
 
 #include "DecomposeForTest.h"
 #include "core/Driver.h"
 #include "frontend/Lowering.h"
+#include "service/Batch.h"
 #include "support/FailPoint.h"
 #include "support/Trace.h"
 
@@ -30,8 +31,19 @@ void *operator new(std::size_t Size) {
   throw std::bad_alloc();
 }
 
-void operator delete(void *P) noexcept { std::free(P); }
-void operator delete(void *P, std::size_t) noexcept { std::free(P); }
+// Replaced too so that every block the deletes below free came from
+// malloc (std::stable_sort's temporary buffer uses the nothrow form).
+void *operator new(std::size_t Size, const std::nothrow_t &) noexcept {
+  GAllocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(Size ? Size : 1);
+}
+
+// Out of line: inlined into gtest's `new TestClass`, GCC reports the
+// malloc/free pair as a mismatched new/delete (-Wmismatched-new-delete).
+[[gnu::noinline]] void operator delete(void *P) noexcept { std::free(P); }
+[[gnu::noinline]] void operator delete(void *P, std::size_t) noexcept {
+  std::free(P);
+}
 
 using namespace alp;
 
@@ -128,13 +140,12 @@ TEST(TraceTest, SpanMoveAndIdempotentFinish) {
   EXPECT_EQ(Evs[0].Detail, 7);
 }
 
-TEST(TraceTest, WorkerSpansNestUnderPhasesWithJobs) {
+TEST(TraceTest, SpansNestUnderPhasesOnCompileThread) {
   Program P = compile(PipelineSrc);
   MachineParams M;
   Tracer Trace;
   MetricsRegistry Metrics;
   DriverOptions Opts;
-  Opts.Jobs = 4;
   Opts.Observe = {&Trace, &Metrics};
   decomposeForTest(P, M, Opts);
 
@@ -148,7 +159,9 @@ TEST(TraceTest, WorkerSpansNestUnderPhasesWithJobs) {
   uint64_t PhaseStart = 0, PhaseEnd = 0;
   unsigned Canon = 0;
   for (const Tracer::Event &E : Evs) {
-    // Every span the run records falls inside the pipeline root span.
+    // A compile is single-threaded: every span is on the root's thread
+    // and falls inside the pipeline root span.
+    EXPECT_EQ(E.Tid, Evs[0].Tid) << E.Name;
     EXPECT_GE(E.StartNs, RootStart) << E.Name;
     EXPECT_LE(E.StartNs + E.DurNs, RootEnd) << E.Name;
     if (std::string(E.Name) == "driver.local_phase") {
@@ -160,7 +173,7 @@ TEST(TraceTest, WorkerSpansNestUnderPhasesWithJobs) {
   for (const Tracer::Event &E : Evs)
     if (std::string(E.Name) == "local.canonicalize") {
       ++Canon;
-      // Worker-task spans nest (in time) under their phase, and carry
+      // Per-nest task spans nest (in time) under their phase, and carry
       // the nest id in Detail.
       EXPECT_GE(E.StartNs, PhaseStart);
       EXPECT_LE(E.StartNs + E.DurNs, PhaseEnd);
@@ -222,34 +235,45 @@ TEST(TraceTest, StatsJsonCarriesSchemaVersionAndSections) {
 }
 
 TEST(TraceTest, CountersIdenticalAcrossJobs) {
+  // Eight distinct programs (each `param N` differs, so nothing dedups),
+  // compiled by a batch of one worker and of four.
+  std::vector<CompileRequest> Items;
+  for (unsigned N = 15; N <= 127; N += 16) {
+    std::string Src = PipelineSrc;
+    Src.replace(Src.find("N = 63"), 6, "N = " + std::to_string(N));
+    CompileRequest Req;
+    Req.FileName = "tracer_" + std::to_string(N) + ".alp";
+    Req.Source = std::move(Src);
+    Req.DoSpmd = true;
+    Items.push_back(std::move(Req));
+  }
   std::string Renders[2];
   unsigned JobCounts[2] = {1, 4};
   for (int Run = 0; Run != 2; ++Run) {
-    Program P = compile(PipelineSrc);
-    MachineParams M;
-    MetricsRegistry Metrics;
-    DriverOptions Opts;
+    BatchOptions Opts;
     Opts.Jobs = JobCounts[Run];
-    Opts.Observe.Metrics = &Metrics;
-    decomposeForTest(P, M, Opts);
-    Renders[Run] = Metrics.renderCountersJson();
+    BatchSession Session(Opts);
+    Session.run(Items);
+    Renders[Run] = Session.metrics().renderCountersJson();
   }
-  // The determinism contract: counter payloads are byte-identical for
-  // every --jobs value (gauges are exempt).
+  // The determinism contract: the aggregated counter payload is
+  // byte-identical for every --jobs value (gauges are exempt).
+  EXPECT_NE(Renders[0].find("\"dep.pairs\""), std::string::npos);
   EXPECT_EQ(Renders[0], Renders[1]);
 }
 
-TEST(TraceTest, StatsGoldenCountersForFig1) {
-  // Golden counters for the checked-in Figure 1 program: catches silent
-  // changes to what the pipeline publishes (adding a counter, losing
-  // one, or a stage charging different totals). Regenerate with
-  // tests/update_observability_golden.sh after an intentional change.
-  Program P = compile(readFile(std::string(ALP_TESTDATA_DIR) +
-                               "/fig1.alp"));
+namespace {
+
+// Golden counters for a checked-in program: catches silent changes to
+// what the pipeline publishes (adding a counter, losing one, or a stage
+// charging different totals). Regenerate with
+// tests/update_observability_golden.sh after an intentional change.
+void expectGoldenCounters(const std::string &Stem) {
+  Program P = compile(readFile(std::string(ALP_TESTDATA_DIR) + "/" + Stem +
+                               ".alp"));
   MachineParams M;
   MetricsRegistry Metrics;
   DriverOptions Opts;
-  Opts.Jobs = 2;
   Opts.Observe.Metrics = &Metrics;
   decomposeForTest(P, M, Opts);
   // alpc publishes the process-wide fault-injection total alongside the
@@ -258,6 +282,17 @@ TEST(TraceTest, StatsGoldenCountersForFig1) {
   Metrics.add("failpoint.triggered",
               FailPointRegistry::instance().triggeredCount());
   std::string Golden = readFile(std::string(ALP_TESTDATA_DIR) +
-                                "/observability/fig1_counters.golden.json");
-  EXPECT_EQ(Metrics.renderCountersJson() + "\n", Golden);
+                                "/observability/" + Stem +
+                                "_counters.golden.json");
+  EXPECT_EQ(Metrics.renderCountersJson() + "\n", Golden) << Stem;
+}
+
+} // namespace
+
+TEST(TraceTest, StatsGoldenCountersForFig1) { expectGoldenCounters("fig1"); }
+
+// Conduct's dynamic join evaluates many edges: its partition.* counters
+// pin that every trial solve is counted once.
+TEST(TraceTest, StatsGoldenCountersForConduct) {
+  expectGoldenCounters("conduct");
 }

@@ -20,8 +20,8 @@
 // Each case runs the full in-process pipeline: compile -> decomposeOrError
 // -> print -> SPMD emission (shared + message-passing) -> communication
 // plan + analysis -> a short simulation. Bounded trigger counts are only
-// jobs-deterministic under --jobs 1, so the harness runs single-threaded
-// task decomposition; the ctest determinism checks cover --jobs N.
+// deterministic while one program compiles at a time, so the harness runs
+// its cases one after another (each compile is single-threaded).
 //
 // Exit 0 iff every (case, site, mode) combination upheld the contract.
 //
@@ -120,7 +120,6 @@ DriverOptions chaosOptions() {
   Opts.Budget.MaxFMConstraints = 2048;
   Opts.Budget.MaxEliminationSteps = 1 << 18;
   Opts.Budget.MaxSolverIterations = 1 << 14;
-  Opts.Jobs = 1;
   return Opts;
 }
 

@@ -67,8 +67,8 @@ FailPoint FpIoRead("io.read");
 /// runs them through one BatchSession with the parsed flags as the
 /// per-item template, prints a one-line verdict per item, and writes the
 /// aggregate report.
-int runBatch(const CompileRequest &Template, const std::string &Dir,
-             const std::string &ReportPath) {
+int runBatch(const CompileRequest &Template, unsigned Jobs,
+             const std::string &Dir, const std::string &ReportPath) {
   namespace fs = std::filesystem;
   std::error_code EC;
   std::vector<std::string> Files;
@@ -105,7 +105,7 @@ int runBatch(const CompileRequest &Template, const std::string &Dir,
 
   DecompositionCache Cache;
   BatchOptions BOpts;
-  BOpts.Jobs = Template.Driver.Jobs;
+  BOpts.Jobs = Jobs;
   BOpts.Cache = &Cache;
   BatchSession Session(BOpts);
   std::vector<BatchItemResult> Results = Session.run(Items);
@@ -156,6 +156,7 @@ int main(int argc, char **argv) {
   std::string LintPassesSpec;
   std::string TracePath, StatsPath;
   std::string BatchDir, BatchReportPath;
+  unsigned BatchJobs = 1;
 
   auto BoolFlag = [](bool &Target, bool Value) {
     return [&Target, Value](const std::string &) {
@@ -298,13 +299,13 @@ int main(int argc, char **argv) {
        "wall-clock budget for the pipeline (0 = off)",
        U64Flag(Opts.DeadlineMs)},
       {"--jobs", "N",
-       "analysis worker threads (0 = all hardware threads); output is "
-       "identical for every value",
+       "programs compiled concurrently by --batch (0 = all hardware "
+       "threads); output is identical for every value",
        [&](const std::string &V) {
          uint64_t U;
          if (!parseU64(V, U))
            return false;
-         Opts.Jobs = static_cast<unsigned>(U);
+         BatchJobs = static_cast<unsigned>(U);
          return true;
        }},
       {"--failpoints", "site:mode[:count[:delay_ms]],...",
@@ -320,7 +321,7 @@ int main(int argc, char **argv) {
          return true;
        }},
       {"--task-retries", "N",
-       "extra attempts per parallel task on a shrunken budget before it "
+       "extra attempts per supervised task on a shrunken budget before it "
        "degrades to its stage's conservative fallback (default 1)",
        [&](const std::string &V) {
          uint64_t U;
@@ -330,8 +331,8 @@ int main(int argc, char **argv) {
          return true;
        }},
       {"--task-deadline-ms", "N",
-       "per-attempt wall-clock deadline for each parallel task (0 = off; "
-       "an armed task deadline trades --jobs determinism for boundedness)",
+       "per-attempt wall-clock deadline for each supervised task (0 = off; "
+       "an armed task deadline trades determinism for boundedness)",
        U64Flag(Opts.TaskDeadlineMs)},
       {"--trace", "file",
        "write a Chrome trace-event JSON of the pipeline's spans",
@@ -428,7 +429,7 @@ int main(int argc, char **argv) {
                    "use --batch-report\n");
       return 2;
     }
-    return runBatch(Req, BatchDir, BatchReportPath);
+    return runBatch(Req, BatchJobs, BatchDir, BatchReportPath);
   }
 
   if (Positionals.empty()) {
