@@ -2,9 +2,12 @@
 //
 // Performance benchmark P3 (google-benchmark): cost of one simulated
 // program execution as a function of problem size and schedule kind. The
-// simulator works at inner-segment granularity, so costs scale with the
-// number of segments (N x nests), not iterations (N^2) — this benchmark
-// pins that property down, also for segments that cross clusters.
+// simulator costs the second-innermost loop in runs of segments that lie
+// on one home (or split alike), so costs scale with the number of runs --
+// about the clusters a processor's rows touch -- not with the segments
+// (N x nests) or the iterations (N^2). Forall and Misaligned pin that
+// down, the second for segments that cross clusters; Pipelined costs one
+// block of the second-innermost loop per chunk, so it still grows with N.
 //
 //===----------------------------------------------------------------------===//
 

@@ -7,6 +7,7 @@
 #include "support/FailPoint.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <exception>
 #include <sstream>
@@ -165,6 +166,89 @@ int64_t elemsPerLine(const SmallVec<int64_t, 4> &Stride,
   return std::max<int64_t>(1, LineBytes / Bytes);
 }
 
+/// The last value in [From, To] up to which \p Holds stays true, given that
+/// it holds at From and, once false, stays false: gallop while it holds,
+/// then bisect the last step, so a stretch of R values costs O(log R)
+/// probes.
+template <typename Pred>
+int64_t lastWhile(int64_t From, int64_t To, Pred Holds) {
+  int64_t Lo = From, Hi = To;
+  for (uint64_t Step = 1; Lo < Hi; Step *= 2) {
+    int64_t Probe = Lo + static_cast<int64_t>(
+                             std::min<uint64_t>(Step, Hi - Lo));
+    if (!Holds(Probe)) {
+      Hi = Probe - 1;
+      break;
+    }
+    Lo = Probe;
+  }
+  while (Lo < Hi) {
+    int64_t Mid = Lo + (Hi - Lo + 1) / 2;
+    if (Holds(Mid))
+      Lo = Mid;
+    else
+      Hi = Mid - 1;
+  }
+  return Lo;
+}
+
+/// sum_{i < N} floor((A * i + B) / Div) for N, A, B >= 0 and Div >= 1, in
+/// O(log) steps (the Euclid-like reduction of the classic floor sum).
+__int128 floorSum(__int128 N, __int128 Div, __int128 A, __int128 B) {
+  __int128 Sum = 0;
+  for (;;) {
+    if (A >= Div) {
+      Sum += N * (N - 1) / 2 * (A / Div);
+      A %= Div;
+    }
+    if (B >= Div) {
+      Sum += N * (B / Div);
+      B %= Div;
+    }
+    __int128 Top = A * N + B;
+    if (Top < Div)
+      return Sum;
+    N = Top / Div;
+    B = Top % Div;
+    std::swap(Div, A);
+  }
+}
+
+/// log2 of the largest power of two dividing \p V (finite), capped at 0:
+/// every multiple of 2^grainExp(V) below 2^(53 + grainExp(V)) is a double.
+int grainExp(double V) {
+  auto Bits = std::bit_cast<uint64_t>(V);
+  int Exp = static_cast<int>(Bits >> 52 & 0x7ff);
+  uint64_t Mant = Bits & ((uint64_t(1) << 52) - 1);
+  if (Exp == 0) { // Zero or subnormal: V = Mant * 2^-1074.
+    if (Mant == 0)
+      return 0;
+    return -1074 + std::countr_zero(Mant);
+  }
+  // V = (2^52 + Mant) * 2^(Exp - 1075).
+  return std::min(0, Exp - 1075 +
+                         std::countr_zero(Mant | uint64_t(1) << 52));
+}
+
+/// True when adding a sum of non-negative summands, each a multiple of
+/// 2^Grain (Grain <= 0), to \p Acc gives \p Acc + \p Delta exactly in any
+/// order and grouping. It holds when \p Acc is a non-negative multiple of
+/// 2^Grain too and the result stays below 2^(53 + Grain): then every
+/// partial sum, of any order, is a multiple of 2^Grain no larger than the
+/// result, so a double holds it and no addition rounds. \p Delta is the sum
+/// computed in doubles; rounding is monotone, so it reaches the bound
+/// exactly when the true sum does, and below the bound it is the true sum.
+bool exactSum(double Acc, double Delta, int Grain) {
+  if (!(Acc >= 0) || !std::isfinite(Acc))
+    return false;
+  int Exp = 53 + std::min(Grain, grainExp(Acc));
+  if (Exp < -1022)
+    return false; // Below the normal doubles; no cost is this fine.
+  // 2^Exp, assembled from its exponent bits.
+  return Acc + Delta <
+         std::bit_cast<double>(static_cast<uint64_t>(Exp + 1023) << 52);
+}
+
 } // namespace
 
 /// One array access of a nest, ready for segment costing.
@@ -183,6 +267,10 @@ struct NumaSimulator::AccessPlan {
   /// Every stride has one sign, so the linear-fill home is monotone along
   /// the segment.
   bool Monotone = true;
+  /// The start index's step per unit of loop Depth-2 where the innermost
+  /// lower bound does not move (Stride times that bound's slope is added
+  /// where it does).
+  SmallVec<int64_t, 4> XStep;
   /// An overflow while preparing the line stride, rethrown on first use.
   std::exception_ptr Failed;
 
@@ -192,6 +280,26 @@ struct NumaSimulator::AccessPlan {
       return static_cast<unsigned>(
           std::clamp<int64_t>(Index[Dim], 0, Extents[Dim] - 1) / Block);
     return fillHome([&](unsigned D) { return Index[D]; });
+  }
+
+  /// The index of a segment's last access, checked like every index.
+  void segmentEnd(const int64_t *Start, int64_t Length, int64_t *End) const {
+    for (unsigned D = 0, R = Stride.size(); D != R; ++D)
+      End[D] = checkedAdd64(
+          Start[D], checkedMul64(Stride[D], Length - 1, Arith), Arith);
+  }
+
+  /// Splits the segment of \p Length accesses from \p Start to \p End
+  /// into maximal runs of lines on one home and calls Charge(Home, Lines)
+  /// for each, in line order (home 0 for all lines when \p AllLocal).
+  /// Returns the number of lines the segment touches.
+  template <typename ChargeFn>
+  int64_t chargeLines(const int64_t *Start, const int64_t *End,
+                      int64_t Length, bool AllLocal, ChargeFn Charge) const;
+
+  /// Lines a segment of \p Length > 0 accesses touches.
+  int64_t linesOf(int64_t Length) const {
+    return ElemsPerLine ? (Length - 1) / ElemsPerLine + 1 : 1;
   }
 
   /// LinearFill: row-major offset -> page -> cluster in fill order; pages
@@ -219,6 +327,13 @@ struct NumaSimulator::NestPlan {
   };
   std::vector<StmtPlan> Stmts;
   std::vector<AccessPlan> Accesses;
+  /// Loop Depth-2 can be costed in runs (costRuns): every bound term reads
+  /// only strictly-outer loops, each innermost one is affine in loop
+  /// Depth-2, and so is every access's start index wherever the innermost
+  /// lower bound is (each row's coefficients on the two innermost loops
+  /// are multiples of its denominator). Whatever failed to prepare is met
+  /// value by value, where the walk raises it.
+  bool Runs = false;
 
   /// Integer bounds of loop \p Level given the loop values \p Outer.
   std::pair<int64_t, int64_t> bounds(unsigned Level,
@@ -261,14 +376,27 @@ NumaSimulator::NestPlan NumaSimulator::planNest(const LoopNest &Nest,
   unsigned Depth = Plan.Depth = Nest.depth();
   unsigned Clusters =
       std::max(1u, (S.Procs + M.ProcsPerCluster - 1) / M.ProcsPerCluster);
+  // Loops X and I are the two innermost; the runs need Depth >= 2.
+  unsigned X = Depth - 2, I = Depth - 1;
+  Plan.Runs = Depth >= 2;
   for (const Loop &L : Nest.Loops) {
+    unsigned Level = Plan.Lower.size();
     auto Terms = [&](const std::vector<BoundTerm> &Src) {
       std::vector<IntAffine> Out;
       Out.reserve(Src.size());
-      for (const BoundTerm &T : Src)
-        Out.emplace_back(
+      for (const BoundTerm &T : Src) {
+        const IntAffine &Bound = Out.emplace_back(
             Depth, [&](unsigned K) { return T.OuterCoeffs[K]; }, T.Const,
             S.Bindings);
+        // The frontend only lets a bound read strictly-outer loops; a
+        // hand-built nest whose bounds read others is walked value by
+        // value, as those see stale loop values.
+        Plan.Runs &= !Bound.Failed;
+        for (unsigned K = Level; K < Depth && Plan.Runs; ++K)
+          Plan.Runs &= Bound.Coeffs[K] == 0;
+        if (Level == I && Plan.Runs)
+          Plan.Runs &= Bound.Coeffs[X] % Bound.Den == 0;
+      }
       return Out;
     };
     Plan.Lower.push_back(Terms(L.Lower));
@@ -282,10 +410,15 @@ NumaSimulator::NestPlan NumaSimulator::planNest(const LoopNest &Nest,
       const Matrix &F = Acc.Map.linear();
       unsigned Rank = Acc.Map.arrayDim();
       for (unsigned D = 0; D != Rank; ++D) {
-        A.Rows.emplace_back(
+        const IntAffine &Row = A.Rows.emplace_back(
             Depth, [&](unsigned K) { return F.at(D, K); },
             Acc.Map.constant()[D], S.Bindings);
         A.Stride.push_back(rationalFloor(F.at(D, Depth - 1)));
+        Plan.Runs = Plan.Runs && !Row.Failed &&
+                    Row.Coeffs[X] % Row.Den == 0 &&
+                    Row.Coeffs[I] % Row.Den == 0;
+        if (Plan.Runs)
+          A.XStep.push_back(Row.Coeffs[X] / Row.Den);
       }
       auto PlIt = S.Current.find(Acc.ArrayId);
       ArrayPlacement Placement = PlIt != S.Current.end()
@@ -313,6 +446,7 @@ NumaSimulator::NestPlan NumaSimulator::planNest(const LoopNest &Nest,
                                       M.CacheLineBytes);
       } catch (const AlpException &) {
         A.Failed = std::current_exception();
+        Plan.Runs = false;
       }
     }
     Plan.Stmts.push_back({static_cast<double>(Stmt.WorkCycles), First,
@@ -325,65 +459,35 @@ NumaSimulator::NestPlan NumaSimulator::planNest(const LoopNest &Nest,
 // Segment and chunk costing
 //===----------------------------------------------------------------------===//
 
-double NumaSimulator::segmentCost(unsigned Proc, const AccessPlan &A,
-                                  const int64_t *Start, int64_t Length,
-                                  RunState &S) const {
-  if (A.Failed)
-    std::rethrow_exception(A.Failed);
-  unsigned Rank = A.Stride.size();
-  SmallVec<int64_t, 4> End(Rank);
-  for (unsigned D = 0; D != Rank; ++D)
-    End[D] = checkedAdd64(
-        Start[D], checkedMul64(A.Stride[D], Length - 1, Arith), Arith);
-  int64_t PerLine = A.ElemsPerLine ? A.ElemsPerLine : Length;
-  int64_t Lines = (Length - 1) / PerLine + 1;
-
-  unsigned MyCluster = clusterOfProc(Proc);
-  bool AllLocal = S.AllLocal || A.Kind == ArrayPlacement::Kind::Replicated;
-  // Charges \p N lines homed on cluster \p Home.
-  auto Charge = [&](unsigned Home, int64_t N) {
-    double Count = static_cast<double>(N);
-    if (AllLocal || Home == MyCluster) {
-      S.Res.LocalLineFetches += Count;
-      return Count * M.LocalCycles;
-    }
-    S.Res.RemoteLineFetches += Count;
-    // Unplanned message-passing: every remote line is a message. Planned
-    // messages are counted when the schedule's ops are charged.
-    if (M.MessagePassing && !S.PlannedComm)
-      S.Res.MessagesSent += Count;
-    // Under a planned schedule the data arrived in a pre-posted bulk
-    // message: the line moves at the hardware rate, and the software
-    // overhead is charged once per planned message in plannedComm().
-    // Without a plan every remote line is a demand-driven fetch paying
-    // the full per-message software overhead; amortizing it over bulk
-    // transfers is exactly what the planned schedule buys.
-    return Count * (S.PlannedComm ? M.RemoteCycles : M.remoteLineCost());
-  };
-
-  double Cost = 0.0;
-  unsigned HomeStart = AllLocal ? 0 : A.homeOf(Start);
-  if (AllLocal || HomeStart == A.homeOf(End.data())) {
+template <typename ChargeFn>
+int64_t NumaSimulator::AccessPlan::chargeLines(const int64_t *Start,
+                                               const int64_t *End,
+                                               int64_t Length, bool AllLocal,
+                                               ChargeFn Charge) const {
+  int64_t PerLine = ElemsPerLine ? ElemsPerLine : Length;
+  int64_t Lines = linesOf(Length);
+  unsigned HomeStart = AllLocal ? 0 : homeOf(Start);
+  if (AllLocal || HomeStart == homeOf(End)) {
     // Homogeneous segment: closed form.
-    Cost = Charge(HomeStart, Lines);
-  } else if (A.Kind == ArrayPlacement::Kind::BlockedDim) {
+    Charge(HomeStart, Lines);
+  } else if (Kind == ArrayPlacement::Kind::BlockedDim) {
     // Line L sits at index V0 + L * Step of the blocked dimension, whose
     // home changes only at block boundaries: divide to find each run.
-    __int128 V0 = Start[A.Dim];
-    __int128 Step = static_cast<__int128>(A.Stride[A.Dim]) * PerLine;
-    int64_t Extent = A.Extents[A.Dim];
-    unsigned Last = static_cast<unsigned>((Extent - 1) / A.Block);
+    __int128 V0 = Start[Dim];
+    __int128 Step = static_cast<__int128>(Stride[Dim]) * PerLine;
+    int64_t Extent = Extents[Dim];
+    unsigned Last = static_cast<unsigned>((Extent - 1) / Block);
     for (int64_t L = 0; L != Lines;) {
       __int128 V = V0 + Step * L;
       unsigned Home = static_cast<unsigned>(
-          std::clamp<__int128>(V, 0, Extent - 1) / A.Block);
+          std::clamp<__int128>(V, 0, Extent - 1) / Block);
       __int128 Run = Lines - L;
       if (Step > 0 && Home != Last)
-        Run = ((Home + static_cast<__int128>(1)) * A.Block - 1 - V) / Step + 1;
+        Run = ((Home + static_cast<__int128>(1)) * Block - 1 - V) / Step + 1;
       else if (Step < 0 && Home != 0)
-        Run = (V - static_cast<__int128>(Home) * A.Block) / -Step + 1;
+        Run = (V - static_cast<__int128>(Home) * Block) / -Step + 1;
       int64_t N = static_cast<int64_t>(std::min<__int128>(Run, Lines - L));
-      Cost += Charge(Home, N);
+      Charge(Home, N);
       L += N;
     }
   } else {
@@ -391,39 +495,328 @@ double NumaSimulator::segmentCost(unsigned Proc, const AccessPlan &A,
     // stays between Start and End, so no step can overflow.
     auto HomeAt = [&](int64_t L) {
       int64_t Steps = L * PerLine;
-      return A.fillHome(
-          [&](unsigned D) { return Start[D] + A.Stride[D] * Steps; });
+      return fillHome([&](unsigned D) { return Start[D] + Stride[D] * Steps; });
     };
     for (int64_t L = 0; L != Lines;) {
       unsigned Home = HomeAt(L);
-      int64_t RunEnd = L; // Last line of the run homed on Home.
-      if (A.Monotone) {
-        // Gallop while the home holds, then bisect the last step: a run of
-        // R lines costs O(log R) probes, however long the segment.
-        int64_t Hi = Lines - 1;
-        for (int64_t Step = 1; RunEnd < Hi; Step *= 2) {
-          int64_t Probe = std::min(RunEnd + Step, Hi);
-          if (HomeAt(Probe) != Home) {
-            Hi = Probe - 1;
-            break;
-          }
-          RunEnd = Probe;
-        }
-        while (RunEnd < Hi) {
-          int64_t Mid = RunEnd + (Hi - RunEnd + 1) / 2;
-          if (HomeAt(Mid) == Home)
-            RunEnd = Mid;
-          else
-            Hi = Mid - 1;
-        }
-      }
-      Cost += Charge(Home, RunEnd - L + 1);
+      // The last line of the run homed on Home.
+      int64_t RunEnd =
+          Monotone ? lastWhile(L, Lines - 1,
+                               [&](int64_t P) { return HomeAt(P) == Home; })
+                   : L;
+      Charge(Home, RunEnd - L + 1);
       L = RunEnd + 1;
     }
   }
+  return Lines;
+}
+
+double NumaSimulator::segmentCost(unsigned Proc, const AccessPlan &A,
+                                  const int64_t *Start, int64_t Length,
+                                  RunState &S) const {
+  if (A.Failed)
+    std::rethrow_exception(A.Failed);
+  SmallVec<int64_t, 4> End(A.Stride.size());
+  A.segmentEnd(Start, Length, End.data());
+
+  unsigned MyCluster = clusterOfProc(Proc);
+  bool AllLocal = S.AllLocal || A.Kind == ArrayPlacement::Kind::Replicated;
+  double Cost = 0.0;
+  int64_t Lines = A.linesOf(Length);
+  // Charges \p N lines homed on cluster \p Home.
+  auto Charge = [&](unsigned Home, int64_t N) {
+    bool Local = AllLocal || Home == MyCluster;
+    double &Fetches =
+        Local ? S.Res.LocalLineFetches : S.Res.RemoteLineFetches;
+    // Unplanned message-passing: every remote line is a message. Planned
+    // messages are counted when the schedule's ops are charged.
+    bool Messages = !Local && M.MessagePassing && !S.PlannedComm;
+    // Under a planned schedule the data arrived in a pre-posted bulk
+    // message: the line moves at the hardware rate, and the software
+    // overhead is charged once per planned message in plannedComm().
+    // Without a plan every remote line is a demand-driven fetch paying
+    // the full per-message software overhead; amortizing it over bulk
+    // transfers is exactly what the planned schedule buys.
+    double Latency = Local ? M.LocalCycles
+                     : S.PlannedComm ? M.RemoteCycles
+                                     : M.remoteLineCost();
+    double Count = static_cast<double>(N);
+    // A segment on one home is one product; one that crosses clusters
+    // (N < Lines) sums its lines one by one, so a run of them is one
+    // product only where that is exact (exactSum).
+    if (N < Lines &&
+        !(Latency >= 0 && std::isfinite(Latency) &&
+          exactSum(Cost, Count * Latency, grainExp(Latency)) &&
+          exactSum(Fetches, Count, 0) &&
+          (!Messages || exactSum(S.Res.MessagesSent, Count, 0)))) {
+      for (int64_t L = 0; L != N; ++L) {
+        Fetches += 1;
+        if (Messages)
+          S.Res.MessagesSent += 1;
+        Cost += Latency;
+      }
+      return;
+    }
+    Fetches += Count;
+    if (Messages)
+      S.Res.MessagesSent += Count;
+    Cost += Count * Latency;
+  };
+  A.chargeLines(Start, End.data(), Length, AllLocal, Charge);
   Cost += (Length - Lines) * M.CacheCycles;
   S.Res.CacheAccesses += Length - Lines;
   return Cost;
+}
+
+bool NumaSimulator::costRuns(unsigned Proc, const NestPlan &Plan,
+                             int64_t *Outer, int64_t XLo, int64_t XHi,
+                             int64_t RangeLo, int64_t RangeHi, RunState &S,
+                             double &Total) const {
+  unsigned X = Plan.Depth - 2, I = Plan.Depth - 1;
+  double RemoteCost = S.PlannedComm ? M.RemoteCycles : M.remoteLineCost();
+  bool CountMessages = M.MessagePassing && !S.PlannedComm;
+  // Every line cost is a multiple of 2^Grain (work costs are integers).
+  int Grain = 0;
+  for (double C : {M.LocalCycles, RemoteCost, M.CacheCycles}) {
+    if (!(C >= 0) || !std::isfinite(C))
+      return false;
+    Grain = std::min(Grain, grainExp(C));
+  }
+  // Whether adding these sums to the counters they go to is exact in any
+  // order (exactSum). With nothing to add: whether any run can be.
+  auto Exact = [&](double Compute, double Memory, double Cache, double Local,
+                   double Remote) {
+    return exactSum(Total, Compute + Memory, Grain) &&
+           exactSum(S.Res.ComputeCycles, Compute, 0) &&
+           exactSum(S.Res.MemoryCycles, Memory, Grain) &&
+           exactSum(S.Res.CacheAccesses, Cache, 0) &&
+           exactSum(S.Res.LocalLineFetches, Local, 0) &&
+           exactSum(S.Res.RemoteLineFetches, Remote, 0) &&
+           (!CountMessages || exactSum(S.Res.MessagesSent, Remote, 0));
+  };
+  if (!Exact(0, 0, 0, 0, 0) ||
+      static_cast<__int128>(XHi) - XLo >= int64_t(1) << 62)
+    return false;
+  // Sums past this cannot be exact doubles; stop counting them early.
+  constexpr __int128 Cap = static_cast<__int128>(1) << 100;
+
+  // Every index and bound computed here, with the walk's checked
+  // arithmetic, is one the value-by-value walk computes too: the ends of a
+  // stretch over which it is affine, so it overflows at an end if anywhere
+  // in between. An overflow raised here is the walk's, in its words.
+
+  // The innermost bounds as affine functions of x: value at XLo and slope.
+  struct Term {
+    int64_t V0, Slope;
+  };
+  SmallVec<Term, 8> Lower, Upper;
+  auto Collect = [&](const std::vector<IntAffine> &Src, bool IsUpper,
+                     int64_t Range, SmallVec<Term, 8> &Dst) {
+    for (const IntAffine &T : Src) {
+      auto At = [&](int64_t V) {
+        Outer[X] = V;
+        return IsUpper ? T.floorAt(Outer) : T.ceilAt(Outer);
+      };
+      At(XHi);
+      Dst.push_back({At(XLo), T.Coeffs[X] / T.Den});
+    }
+    Dst.push_back({Range, 0});
+  };
+  Collect(Plan.Lower[I], false, RangeLo, Lower);
+  Collect(Plan.Upper[I], true, RangeHi, Upper);
+  auto Val = [&](const Term &T, int64_t V) {
+    return T.V0 + static_cast<__int128>(T.Slope) * (V - XLo);
+  };
+
+  __int128 Len = 0, Local = 0, Remote = 0, Cache = 0;
+  uint64_t Runs = 0;
+  unsigned MyCluster = clusterOfProc(Proc);
+  SmallVec<int64_t, 4> Start, End, Probe, ProbeEnd;
+  SmallVec<__int128, 4> Step, EndStep;
+
+  // One piece [P0, P1] of loop X: the same lower term L and upper term H
+  // win throughout, so Lo(x) and Len(x) = Len0 + N (x - P0) are affine,
+  // and Len(x) >= 1.
+  auto Piece = [&](int64_t P0, int64_t P1, const Term &L, const Term &H,
+                   __int128 Len0, __int128 N) {
+    auto LoAt = [&](int64_t V) { return static_cast<int64_t>(Val(L, V)); };
+    auto LenAt = [&](int64_t V) { return Len0 + N * (V - P0); };
+    for (int64_t V : {P0, P1})
+      checkedAdd64(checkedSub64(static_cast<int64_t>(Val(H, V)), LoAt(V),
+                                Arith),
+                   1, Arith);
+    if (std::max(LenAt(P0), LenAt(P1)) * (P1 - P0 + 1) > Cap)
+      return false;
+    // Accesses and lines over the values [V, W] of the piece.
+    auto SumLen = [&](int64_t V, int64_t W) {
+      __int128 Count = W - V + 1;
+      return Count * LenAt(V) + N * (Count * (Count - 1) / 2);
+    };
+    auto SumLines = [&](const AccessPlan &A, int64_t V, int64_t W) {
+      __int128 Count = W - V + 1;
+      if (N == 0 || !A.ElemsPerLine)
+        return Count * A.linesOf(static_cast<int64_t>(LenAt(V)));
+      // Lines(x) = (Len(x) - 1) / ElemsPerLine + 1, summed from the end
+      // where Len is smallest.
+      if (N >= 0)
+        return Count + floorSum(Count, A.ElemsPerLine, N, LenAt(V) - 1);
+      return Count + floorSum(Count, A.ElemsPerLine, -N, LenAt(W) - 1);
+    };
+    Len += SumLen(P0, P1);
+
+    for (const AccessPlan &A : Plan.Accesses) {
+      bool AllLocal = S.AllLocal || A.Kind == ArrayPlacement::Kind::Replicated;
+      auto Charge = [&](unsigned Home, __int128 Lines) {
+        (AllLocal || Home == MyCluster ? Local : Remote) += Lines;
+      };
+      unsigned Rank = A.Rows.size();
+      // The start and end indices are affine in x over the piece; compute
+      // them as the walk does at both ends, where they overflow if
+      // anywhere. Within the piece each steps by XStep plus the innermost
+      // stride times the slope of the lower bound (and of the length, for
+      // the end); both steps are below 2^64, as the ends are int64.
+      for (SmallVec<int64_t, 4> *Idx : {&Start, &End, &Probe, &ProbeEnd})
+        Idx->resize(Rank);
+      for (auto [V, Idx, EndIdx] :
+           {std::tuple(P1, &Probe, &ProbeEnd), std::tuple(P0, &Start, &End)}) {
+        Outer[X] = V;
+        Outer[I] = LoAt(V);
+        for (unsigned D = 0; D != Rank; ++D)
+          (*Idx)[D] = A.Rows[D].floorAt(Outer);
+        A.segmentEnd(Idx->data(), static_cast<int64_t>(LenAt(V)),
+                     EndIdx->data());
+      }
+      Step.resize(Rank);
+      EndStep.resize(Rank);
+      bool AnyNeg = false, AnyPos = false;
+      for (unsigned D = 0; D != Rank; ++D) {
+        Step[D] = EndStep[D] = 0; // A one-value piece takes no step.
+        if (P1 != P0) {
+          Step[D] = A.XStep[D] + static_cast<__int128>(A.Stride[D]) * L.Slope;
+          EndStep[D] = Step[D] + A.Stride[D] * N;
+        }
+        for (__int128 St : {Step[D], EndStep[D]}) {
+          AnyNeg |= St < 0;
+          AnyPos |= St > 0;
+        }
+      }
+      // Each home moves one way along x (a blocked home always does), so
+      // the values where start and end share a home are one stretch.
+      bool Monotone =
+          A.Kind == ArrayPlacement::Kind::BlockedDim || !(AnyNeg && AnyPos);
+      auto Homes = [&](int64_t V) {
+        for (unsigned D = 0; D != Rank; ++D) {
+          Probe[D] = static_cast<int64_t>(Start[D] + Step[D] * (V - P0));
+          ProbeEnd[D] = static_cast<int64_t>(End[D] + EndStep[D] * (V - P0));
+        }
+        return std::pair(A.homeOf(Probe.data()), A.homeOf(ProbeEnd.data()));
+      };
+
+      for (int64_t V = P0;;) {
+        int64_t Last = V;
+        __int128 Lines;
+        if (AllLocal) {
+          Last = P1;
+          Lines = SumLines(A, V, Last);
+          Charge(0, Lines);
+        } else if (auto [HS, HE] = Homes(V); HS == HE) {
+          // (a) A run of segments that each lie on home HS; most runs
+          // reach the end of the piece, so that is tried first.
+          auto OnHS = [&, HS = HS](int64_t W) {
+            return Homes(W) == std::pair(HS, HS);
+          };
+          if (Monotone)
+            Last = OnHS(P1) ? P1 : lastWhile(V, P1, OnHS);
+          Lines = SumLines(A, V, Last);
+          Charge(HS, Lines);
+        } else if (A.Kind == ArrayPlacement::Kind::BlockedDim &&
+                   Step[A.Dim] == 0 && EndStep[A.Dim] == 0) {
+          // (b) The blocked index and the length stay put: every segment
+          // left in the piece splits like this one.
+          Last = P1;
+          __int128 Count = P1 - V + 1;
+          int64_t SegLen = static_cast<int64_t>(LenAt(V));
+          Lines = Count * A.chargeLines(Probe.data(), ProbeEnd.data(), SegLen,
+                                        false,
+                                        [&](unsigned Home, int64_t N) {
+                                          Charge(Home, N * Count);
+                                        });
+        } else {
+          int64_t SegLen = static_cast<int64_t>(LenAt(V));
+          Lines = A.chargeLines(Probe.data(), ProbeEnd.data(), SegLen, false,
+                                Charge);
+        }
+        Cache += SumLen(V, Last) - Lines;
+        ++Runs;
+        if (Last == P1)
+          break;
+        V = Last + 1;
+      }
+    }
+    return Len <= Cap && Local <= Cap && Remote <= Cap && Cache <= Cap;
+  };
+
+  // Split [XLo, XHi] where a bound term takes over or the innermost range
+  // turns empty or non-empty. Past its value at P0, a term with a larger
+  // slope than the winning lower bound overtakes it after Gap / dSlope
+  // values; likewise for the upper bound.
+  for (int64_t P0 = XLo;;) {
+    const Term *L = &Lower[0], *H = &Upper[0];
+    for (const Term &T : Lower)
+      if (Val(T, P0) > Val(*L, P0) ||
+          (Val(T, P0) == Val(*L, P0) && T.Slope > L->Slope))
+        L = &T;
+    for (const Term &T : Upper)
+      if (Val(T, P0) < Val(*H, P0) ||
+          (Val(T, P0) == Val(*H, P0) && T.Slope < H->Slope))
+        H = &T;
+    __int128 P1 = XHi;
+    for (const Term &T : Lower)
+      if (T.Slope > L->Slope)
+        P1 = std::min<__int128>(
+            P1, P0 + (Val(*L, P0) - Val(T, P0)) /
+                         (static_cast<__int128>(T.Slope) - L->Slope));
+    for (const Term &T : Upper)
+      if (T.Slope < H->Slope)
+        P1 = std::min<__int128>(
+            P1, P0 + (Val(T, P0) - Val(*H, P0)) /
+                         (static_cast<__int128>(H->Slope) - T.Slope));
+    __int128 Len0 = Val(*H, P0) - Val(*L, P0) + 1;
+    __int128 N = static_cast<__int128>(H->Slope) - L->Slope;
+    if (Len0 >= 1) {
+      if (N < 0)
+        P1 = std::min<__int128>(P1, P0 + (Len0 - 1) / -N);
+      if (!Piece(P0, static_cast<int64_t>(P1), *L, *H, Len0, N))
+        return false;
+    } else if (N > 0) {
+      P1 = std::min<__int128>(P1, P0 + -Len0 / N);
+    }
+    if (P1 == XHi)
+      break;
+    P0 = static_cast<int64_t>(P1) + 1;
+  }
+
+  // Commit the runs as one sum per counter if each is exact; otherwise the
+  // caller walks the values one by one.
+  double WorkSum = 0.0;
+  for (const NestPlan::StmtPlan &Stmt : Plan.Stmts)
+    WorkSum += Stmt.Work;
+  auto D = [](__int128 V) { return static_cast<double>(V); };
+  double Compute = WorkSum * D(Len);
+  double Memory = D(Local) * M.LocalCycles + D(Remote) * RemoteCost +
+                  D(Cache) * M.CacheCycles;
+  if (!Exact(Compute, Memory, D(Cache), D(Local), D(Remote)))
+    return false;
+  Total += Compute + Memory;
+  S.Res.ComputeCycles += Compute;
+  S.Res.MemoryCycles += Memory;
+  S.Res.CacheAccesses += D(Cache);
+  S.Res.LocalLineFetches += D(Local);
+  S.Res.RemoteLineFetches += D(Remote);
+  if (CountMessages)
+    S.Res.MessagesSent += D(Remote);
+  S.Segments += Runs;
+  return true;
 }
 
 double NumaSimulator::chunkCost(unsigned Proc, const NestPlan &Plan,
@@ -442,7 +835,8 @@ double NumaSimulator::chunkCost(unsigned Proc, const NestPlan &Plan,
                           std::min(B.second, RangeHi[Level]));
   };
 
-  // The innermost loop is costed as one segment per statement access.
+  // One value of every outer loop: the innermost loop is costed as one
+  // segment per statement access.
   double Total = 0.0;
   SmallVec<int64_t, 8> Start;
   auto Innermost = [&] {
@@ -462,16 +856,37 @@ double NumaSimulator::chunkCost(unsigned Proc, const NestPlan &Plan,
         double C = segmentCost(Proc, A, Start.data(), Len, S);
         Total += C;
         S.Res.MemoryCycles += C;
+        ++S.Segments;
       }
     }
   };
-
-  // Odometer over the outer loops. Outer[L] keeps the last value loop L
-  // took, as the bounds of later visits see it.
   if (Depth == 1) {
     Innermost();
     return Total;
   }
+
+  // Loop Depth-2 under fixed outer loops: in runs where costRuns can prove
+  // the sums exact, else one value at a time.
+  unsigned X = Depth - 2;
+  auto SecondInnermost = [&] {
+    auto [XLo, XHi] = RangeFor(X);
+    if (XLo > XHi)
+      return;
+    if (Plan.Runs && costRuns(Proc, Plan, Outer.data(), XLo, XHi,
+                              RangeLo[X + 1], RangeHi[X + 1], S, Total))
+      return;
+    for (int64_t V = XLo; V <= XHi; ++V) {
+      Outer[X] = V;
+      Innermost();
+    }
+  };
+  if (Depth == 2) {
+    SecondInnermost();
+    return Total;
+  }
+
+  // Odometer over the loops outside X. Outer[L] keeps the last value loop
+  // L took, as the bounds of later visits see it.
   auto Enter = [&](unsigned Level) {
     std::tie(Next[Level], Last[Level]) = RangeFor(Level);
   };
@@ -485,8 +900,8 @@ double NumaSimulator::chunkCost(unsigned Proc, const NestPlan &Plan,
       continue;
     }
     Outer[Level] = Next[Level]++;
-    if (Level + 2 == Depth) {
-      Innermost();
+    if (Level + 1 == X) {
+      SecondInnermost();
     } else {
       ++Level;
       Enter(Level);
@@ -791,6 +1206,7 @@ void NumaSimulator::runNodes(const std::vector<ProgramNode> &Nodes,
       RunState &Keep = P1 >= 0.5 ? ThenS : ElseS;
       double Blend = P1 * ThenS.Res.Cycles + (1 - P1) * ElseS.Res.Cycles;
       Keep.Res.Cycles = Blend;
+      Keep.Segments = ThenS.Segments + ElseS.Segments - S.Segments;
       S = std::move(Keep);
       break;
     }
@@ -836,6 +1252,7 @@ SimResult NumaSimulator::run(unsigned NumProcs) {
     }
   }
   runNodes(P.TopLevel, S);
+  Observe.count("sim.segments", S.Segments);
   if (Observe.Metrics)
     S.Res.publishTo(*Observe.Metrics);
   return S.Res;

@@ -22,9 +22,13 @@
 /// boundaries -- by division for blocked placements, by binary search on
 /// the monotone home for linear fill -- so it costs O(clusters), not
 /// O(lines); only a linear-fill access whose strides mix signs still walks
-/// its lines. Nests run either sequentially, as forall (max over processors
-/// plus a barrier), or software-pipelined over blocks with point-to-point
-/// synchronization (Sec. 5's doacross).
+/// its lines. The second-innermost loop is costed in runs: a stretch of
+/// its values whose segments lie on one home (or split alike) is costed
+/// once, where the sums are provably the exact ones of costing each
+/// segment (docs/SIMULATOR.md, "The 2^53 rule"). Nests run either
+/// sequentially, as forall (max over processors plus a barrier), or
+/// software-pipelined over blocks with point-to-point synchronization
+/// (Sec. 5's doacross).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -137,8 +141,9 @@ public:
   const MachineParams &machine() const { return M; }
 
   /// Observability sink: a "sim.run" span per run() (Detail = processor
-  /// count), "sim.runs" / "sim.reorganizations" counters, and the last
-  /// run's SimResult as "sim.*" gauges.
+  /// count), "sim.runs" / "sim.reorganizations" / "sim.segments" (segments
+  /// and runs costed) counters, and the last run's SimResult as "sim.*"
+  /// gauges.
   void setObserve(TraceContext Observe) { this->Observe = Observe; }
 
   /// Everything the setters above installed.
@@ -183,6 +188,8 @@ private:
     /// Indexed by array id; filled lazily, invalidated by rebind().
     std::vector<ArrayShape> Shapes;
     SimResult Res;
+    /// Segments and runs costed, both arms of every branch included.
+    uint64_t Segments = 0;
   };
 
   /// Per-nest costing data (defined in NumaSimulator.cpp).
@@ -206,9 +213,26 @@ private:
   double segmentCost(unsigned Proc, const AccessPlan &A,
                      const int64_t *Start, int64_t Length, RunState &S) const;
 
+  /// Costs loop Depth-2 over [XLo, XHi], with the outer loops fixed in
+  /// \p Outer and the innermost loop clipped to [RangeLo, RangeHi], in
+  /// runs: per access, a maximal stretch of x whose segments all lie on one
+  /// home, or (blocked placement) all split alike, is costed once times
+  /// its length; a triangular innermost range is cut where a bound term
+  /// takes over, and its line counts are summed by a floor sum. Adds the
+  /// cost to \p Total and the counters of \p S and returns true only when
+  /// every sum is provably the exact value the value-by-value walk
+  /// accumulates (exactSum); otherwise it changes nothing and returns
+  /// false. It raises an overflow only where that walk would.
+  bool costRuns(unsigned Proc, const NestPlan &Plan, int64_t *Outer,
+                int64_t XLo, int64_t XHi, int64_t RangeLo, int64_t RangeHi,
+                RunState &S, double &Total) const;
+
   /// Cost of executing the iteration sub-range of a nest assigned to
   /// \p Proc where loop \p Level ranges only over [Lo, Hi]. Ranges for
-  /// unmentioned loops come from the bounds.
+  /// unmentioned loops come from the bounds. The loops outside Depth-2 are
+  /// walked value by value; loop Depth-2 goes to costRuns and, where that
+  /// declines, is walked value by value too, one segment per access and
+  /// value, in the order that fixes the floating-point sums.
   struct LoopRange {
     unsigned Level;
     int64_t Lo, Hi;

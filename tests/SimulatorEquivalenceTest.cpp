@@ -1,14 +1,15 @@
 //===- tests/SimulatorEquivalenceTest.cpp - Simulator vs its oracle -------===//
 //
-// NumaSimulator costs segments from per-nest integer data and splits a
-// segment that crosses clusters at the ownership boundaries. The
-// ReferenceSimulator (tests/ReferenceSimulator.cpp) is the original
-// line-walking costing over exact Rational arithmetic. Every per-line,
-// cache and work cost is an integer-valued double below 2^53, so the two
-// must agree exactly, field for field, on every run: the checked-in
-// programs, the generator templates, the kernel gallery, a fixed sample
-// of the seed-7 generator corpus, and hand-written cases for each costing
-// branch.
+// NumaSimulator costs segments from per-nest integer data, splits a
+// segment that crosses clusters at the ownership boundaries, and costs the
+// second-innermost loop in runs of equal segments where the sums provably
+// stay exact. The ReferenceSimulator (tests/ReferenceSimulator.cpp) is the
+// original line-walking costing over exact Rational arithmetic, one
+// segment at a time. The two must agree exactly, field for field, on every
+// run: the checked-in programs, the generator templates, the kernel
+// gallery, a fixed sample of the seed-7 generator corpus, and hand-written
+// cases for each costing branch, including sums past 2^53 and costs that
+// are not integers.
 //
 //===----------------------------------------------------------------------===//
 
@@ -26,6 +27,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <sstream>
 
 using namespace alp;
@@ -187,8 +189,11 @@ std::vector<CompiledCase> seed7Cases() {
 }
 
 /// Every placement (including an out-of-range dimension, which clamps)
-/// crossed with every schedule mode over loops 0 and 1, on both machines.
-void expectEquivalentEverywhere(const std::string &Label, const Program &P) {
+/// crossed with every schedule mode over loops 0 and 1, on both machines,
+/// each adjusted by \p Tweak.
+void expectEquivalentEverywhere(
+    const std::string &Label, const Program &P,
+    const std::function<void(MachineParams &)> &Tweak = {}) {
   const std::pair<const char *, ArrayPlacement> Placements[] = {
       {"blocked0", ArrayPlacement::blockedDim(0)},
       {"blocked1", ArrayPlacement::blockedDim(1)},
@@ -207,6 +212,8 @@ void expectEquivalentEverywhere(const std::string &Label, const Program &P) {
     for (const auto &[PName, Placement] : Placements)
       for (const auto &[SName, Schedule] : Schedules) {
         MachineParams M = machine(Touchstone);
+        if (Tweak)
+          Tweak(M);
         NumaSimulator Sim(P, M);
         for (unsigned A = 0; A != P.Arrays.size(); ++A)
           Sim.setStaticPlacement(A, Placement);
@@ -219,9 +226,10 @@ void expectEquivalentEverywhere(const std::string &Label, const Program &P) {
       }
 }
 
-void expectEquivalentEverywhere(const std::string &Label,
-                                const std::string &Src) {
-  expectEquivalentEverywhere(Label, compile(Src));
+void expectEquivalentEverywhere(
+    const std::string &Label, const std::string &Src,
+    const std::function<void(MachineParams &)> &Tweak = {}) {
+  expectEquivalentEverywhere(Label, compile(Src), Tweak);
 }
 
 } // namespace
@@ -362,4 +370,238 @@ for i = 1 to N {
   B[i + 4611686018427387904 * M] = g(B[i]) @cost(5);
 }
 )");
+}
+
+//===----------------------------------------------------------------------===//
+// Runs over the second-innermost loop
+//===----------------------------------------------------------------------===//
+
+TEST(SimulatorEquivalenceTest, StripsNotAlignedToBlocks) {
+  // 101 rows over 8 clusters make blocks of 13; the strips of most
+  // processor counts start and end inside a block, so a processor's run
+  // of rows changes home partway. X[2i, j] skips every other row.
+  expectEquivalentEverywhere("unaligned", R"(
+program unaligned;
+param N = 100;
+array X[2 * N + 2, N + 1], Y[N + 1, N + 1];
+forall i = 0 to N {
+  for j = 0 to N {
+    Y[i, j] = f(X[2 * i, j], X[i, j], Y[i, N - j]) @cost(3);
+  }
+}
+)");
+}
+
+TEST(SimulatorEquivalenceTest, RunsEndingOnABlockEdge) {
+  // 64 rows make blocks of 8 on 8 clusters: strips of 2, 4 and 8 rows end
+  // exactly where a block does, and X[2i + 1, j] steps over the edge.
+  expectEquivalentEverywhere("edge", R"(
+program edge;
+param N = 63;
+array X[2 * N + 2, N + 1], Y[N + 1, N + 1];
+forall i = 0 to N {
+  for j = 0 to N {
+    Y[i, j] = f(X[2 * i + 1, j], Y[i, j]) @cost(2);
+  }
+}
+)");
+}
+
+TEST(SimulatorEquivalenceTest, DescendingStepOverTheOuterLoop) {
+  // The start index falls as the second-innermost loop rises.
+  expectEquivalentEverywhere("descending", R"(
+program descending;
+param N = 47;
+array X[N + 1, N + 1], Y[N + 1, N + 1];
+for i = 0 to N {
+  for j = 0 to N {
+    Y[N - i, j] = f(X[N - i, N - j], X[N - 2 * i + 40, j]) @cost(2);
+  }
+}
+)");
+}
+
+TEST(SimulatorEquivalenceTest, MixedSignStepOverTheOuterLoop) {
+  // X[i, N - i + j] steps (1, -1) per row. X has 24 rows, so from i = 24
+  // on the first subscript clamps and the linear-fill offset falls as i
+  // rises: the home is not monotone over i, and those rows are costed one
+  // at a time.
+  expectEquivalentEverywhere("mixedx", R"(
+program mixedx;
+param N = 47;
+array X[24, 2 * N + 2], Y[N + 1, N + 1];
+for i = 0 to N {
+  for j = 0 to N {
+    Y[i, j] = f(X[i, N - i + j], X[N - i, i + j]) @cost(4);
+  }
+}
+)");
+}
+
+TEST(SimulatorEquivalenceTest, LinearFillHomeThatLeavesAndReturns) {
+  // X[N - i, i + j] stays on X's clamped last row while i < 83, climbing
+  // through it, then drops a row per step. With five clusters of 160
+  // elements, the start of the last row and the end of the row below share
+  // a cluster: the home over i goes 3, 4, back to 3, so a stretch whose
+  // ends agree need not be one home.
+  expectEquivalentEverywhere("dip", R"(
+program dip;
+param N = 85;
+array X[4, 200], Y[N + 1, 32];
+for i = 0 to N - 2 {
+  for j = 0 to 31 {
+    Y[i, j] = f(X[N - i, i + j]) @cost(2);
+  }
+}
+)");
+}
+
+TEST(SimulatorEquivalenceTest, TriangularBoundsWithMinMaxAndEmptyRows) {
+  // The innermost range is max(i - 20, 2i - 40, 0) .. min(i + 3, N - i,
+  // 30): the winning term changes several times, the length rises and
+  // falls, and the rows past i = 23 are empty. The three-deep nest varies
+  // the triangle with the outermost loop.
+  expectEquivalentEverywhere("triangle", R"(
+program triangle;
+param N = 47;
+array X[N + 1, N + 1], Y[N + 1, N + 1];
+for i = 0 to N {
+  for j = max(i - 20, 2 * i - 40, 0) to min(i + 3, N - i, 30) {
+    Y[i, j] = f(X[j, i], X[i, j], Y[i, N - j]) @cost(2);
+  }
+}
+for k = 0 to 3 {
+  for i = k to N {
+    for j = max(i - 3 * k, 0) to min(N, i + k, 2 * N - 3 * i) {
+      X[i, j] = g(X[i, j], Y[j, i]) @cost(1);
+    }
+  }
+}
+)");
+}
+
+TEST(SimulatorEquivalenceTest, RationalRows) {
+  // N / 2 and (N + 2) / 3 are not integers: the rows have denominators 2
+  // and 3.
+  Program P = compile(R"(
+program halves;
+param N = 47;
+array X[N + 1, N + 1], Y[N + 1, N + 1];
+for i = 0 to N {
+  for j = 0 to N {
+    Y[i, j] = f(X[i + N / 2 - 20, j + (N + 2) / 3 - 16], Y[N - i, j]) @cost(2);
+  }
+}
+)");
+  // And the rational bounds of a skewed nest, whose innermost bound terms
+  // are not affine in the second-innermost loop.
+  applyUnimodular(P.Nests[0], IntMatrix({{2, 1}, {1, 1}}));
+  expectEquivalentEverywhere("halves", P);
+}
+
+TEST(SimulatorEquivalenceTest, NonIntegralMachineCosts) {
+  // Halves and quarters keep every sum exact at a finer grain; a tenth
+  // cannot be summed exactly at all, so those runs go value by value.
+  const char *Src = R"(
+program costs;
+param N = 47;
+array X[N + 1, N + 1], Y[N + 1, N + 1];
+for i = 0 to N {
+  for j = 0 to N {
+    Y[i, j] = f(X[i, j], X[j, i], Y[i, N - j]) @cost(3);
+  }
+}
+)";
+  expectEquivalentEverywhere("halves", Src, [](MachineParams &M) {
+    M.RemoteCycles = 120.5;
+    M.LocalCycles = 29.25;
+  });
+  expectEquivalentEverywhere("tenths", Src, [](MachineParams &M) {
+    M.RemoteCycles = 120.1;
+    M.CacheCycles = 0.5;
+  });
+}
+
+TEST(SimulatorEquivalenceTest, SumsPast2To53) {
+  // Rows of 2^40 + 1 elements: a few hundred segments take the cycle
+  // counters past 2^53, where adding a run in one step would round
+  // differently from adding its segments one at a time. Every segment
+  // lies on one cluster, which keeps the line-walking oracle fast.
+  Program P = compile(R"(
+program huge;
+param N = 1099511627776, M = 1023;
+array X[M + 1, N + 1], Y[M + 1, N + 1];
+forall i = 0 to M {
+  for j = 0 to N {
+    X[i, j] = f(X[i, j], Y[i, N - j]) @cost(3);
+  }
+}
+)");
+  using Mode = NestSchedule::Mode;
+  for (bool Touchstone : {false, true})
+    for (ArrayPlacement Placement :
+         {ArrayPlacement::blockedDim(0), ArrayPlacement::replicated()})
+      for (NestSchedule Schedule :
+           {NestSchedule{Mode::Sequential, 0, 0, 4},
+            NestSchedule{Mode::Forall, 0, 0, 4}}) {
+        MachineParams M = machine(Touchstone);
+        NumaSimulator Sim(P, M);
+        for (unsigned A = 0; A != P.Arrays.size(); ++A)
+          Sim.setStaticPlacement(A, Placement);
+        Sim.setSchedule(P.Nests[0].Id, Schedule);
+        expectEquivalent(Sim, P, M,
+                         std::string("huge ") +
+                             (Touchstone ? "touchstone" : "dash") +
+                             (Schedule.ExecMode == Mode::Forall ? " forall"
+                                                                : " seq"),
+                         procCounts(false));
+        EXPECT_GT(Sim.run(1).MemoryCycles, 0x1p53);
+      }
+}
+
+TEST(SimulatorEquivalenceTest, OverflowInsideTheSecondInnermostLoop) {
+  // The start index 2^61 * i + j leaves 64 bits at i = 4 and the upper
+  // bound 2^62 * i at i = 2, both partway through a loop costed in runs;
+  // B's subscript constant overflows while the nest is prepared, which
+  // sends the nest value by value. The failure must be the walk's, in its
+  // words.
+  for (const char *Src : {R"(
+program startx;
+param N = 8;
+array X[N + 1, N + 1];
+forall i = 0 to N {
+  for j = 0 to N {
+    X[i, 2305843009213693952 * i + j] = f(X[i, j]) @cost(2);
+  }
+}
+)",
+                          R"(
+program boundx;
+param N = 8;
+array X[N + 1, N + 1];
+forall i = 0 to N {
+  for j = 0 to min(N, 4611686018427387904 * i) {
+    X[i, j] = f(X[j, i]) @cost(2);
+  }
+}
+)",
+                          R"(
+program rowx;
+param N = 8, M = 31;
+array X[N + 1, N + 1], B[M + 1];
+forall i = 0 to N {
+  for j = 0 to N {
+    X[i, j] = f(X[i, j], B[i + 4611686018427387904 * M]) @cost(2);
+  }
+}
+)"}) {
+    Program P = compile(Src);
+    expectEquivalentEverywhere(P.Name, P);
+    MachineParams M = machine(false);
+    NumaSimulator Sim(P, M);
+    Outcome O = outcomeOf([&] { return Sim.run(4); });
+    EXPECT_EQ(O.Error, "rational-overflow: 64-bit overflow in rational "
+                       "arithmetic")
+        << P.Name;
+  }
 }
