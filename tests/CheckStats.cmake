@@ -5,6 +5,39 @@
 #  * the Chrome trace contains a span for every pipeline stage.
 #
 # Variables: ALPC (binary), INPUT (.alp file), WORKDIR (scratch dir).
+#
+# Pin mode, when DEP_STATS is set: one run with FLAGS (;-list) must exit
+# EXIT, and its dep.* counters plus the dep.fm_elimination_steps gauge
+# must equal DEP_STATS, a ;-list of name=value entries in file order.
+# PIN names the run's stats file under WORKDIR.
+
+if(DEFINED DEP_STATS)
+  set(OUT ${WORKDIR}/${PIN}_stats.json)
+  execute_process(
+    COMMAND ${ALPC} ${INPUT} ${FLAGS} --stats=${OUT}
+    RESULT_VARIABLE RC OUTPUT_QUIET ERROR_QUIET)
+  if(NOT RC EQUAL EXIT)
+    message(FATAL_ERROR "alpc exited ${RC}, expected ${EXIT}, on ${INPUT}")
+  endif()
+  file(READ ${OUT} STATS)
+  string(REGEX MATCHALL "\"dep\\.[a-z0-9_.]+\": [^,\n]*" ENTRIES "${STATS}")
+  set(GOT "")
+  foreach(E IN LISTS ENTRIES)
+    if(E MATCHES "^\"(dep\\.[a-z0-9_.]+)\": (.*)$")
+      set(ENTRY "${CMAKE_MATCH_1}=${CMAKE_MATCH_2}")
+      if(NOT ENTRY MATCHES "^dep\\.cache\\.raw_")
+        list(APPEND GOT "${ENTRY}")
+      endif()
+    endif()
+  endforeach()
+  if(NOT GOT STREQUAL DEP_STATS)
+    message(FATAL_ERROR
+      "dep stats of alpc ${FLAGS} on ${INPUT} changed\n"
+      "--- actual ---\n${GOT}\n--- expected ---\n${DEP_STATS}")
+  endif()
+  message(STATUS "dep counters and elimination-step gauge match on ${INPUT}")
+  return()
+endif()
 
 get_filename_component(stem ${INPUT} NAME_WE)
 set(S1 ${WORKDIR}/${stem}_stats_j1.json)
