@@ -209,12 +209,10 @@ int64_t ceilRat(const Rational &R) {
 /// Bounds projection that unwinds on failure: a budget trip or overflow
 /// Status is re-raised as AlpException so the per-pair conservative
 /// fallback in analyzePair takes over in one place.
-std::optional<VariableBounds> boundsOrUnwind(const ConstraintSystem &CS,
+std::optional<VariableBounds> boundsOrUnwind(ProjectionWalk &Walk,
                                              unsigned Var,
                                              ResourceBudget *Budget) {
-  if (!Budget)
-    return CS.boundsOf(Var);
-  Expected<std::optional<VariableBounds>> E = CS.boundsOf(Var, Budget);
+  Expected<std::optional<VariableBounds>> E = Walk.boundsOf(Var, Budget);
   if (!E.hasValue())
     throw AlpException(E.status());
   return E.takeValue();
@@ -227,7 +225,7 @@ std::optional<VariableBounds> boundsOrUnwind(const ConstraintSystem &CS,
 /// memoizable request's identity is appended to \p Refs (when given) so
 /// the merge-order cache ledger can be derived deterministically.
 std::optional<VariableBounds>
-cachedBounds(const ConstraintSystem &CS, unsigned Var,
+cachedBounds(ProjectionWalk &Walk, unsigned Var,
              const CanonicalSystemKey *Key, DependenceCache *Cache,
              ResourceBudget *Budget, std::vector<uint64_t> *Refs) {
   if (Key && Cache) {
@@ -237,7 +235,7 @@ cachedBounds(const ConstraintSystem &CS, unsigned Var,
     if (auto Hit = Cache->lookupBounds(*Key, Var))
       return *Hit;
   }
-  std::optional<VariableBounds> B = boundsOrUnwind(CS, Var, Budget);
+  std::optional<VariableBounds> B = boundsOrUnwind(Walk, Var, Budget);
   if (Key && Cache)
     Cache->storeBounds(*Key, Var, B);
   return B;
@@ -247,13 +245,15 @@ cachedBounds(const ConstraintSystem &CS, unsigned Var,
 /// single variable and rejects when some projection interval contains no
 /// integer (e.g. j in [3/5, 2/3]). Catches the axis-thin phantoms that
 /// survive both the GCD and the lattice tests; returns false also when
-/// the system is rationally infeasible outright.
+/// the system is rationally infeasible outright. One ProjectionWalk shares
+/// the elimination prefix across the axes; cache hits skip their axis.
 bool hasIntegerPointPerAxis(const ConstraintSystem &CS,
                             const CanonicalSystemKey *Key,
                             DependenceCache *Cache, ResourceBudget *Budget,
                             std::vector<uint64_t> *Refs) {
+  ProjectionWalk Walk(CS);
   for (unsigned V = 0; V != CS.numVars(); ++V) {
-    auto B = cachedBounds(CS, V, Key, Cache, Budget, Refs);
+    auto B = cachedBounds(Walk, V, Key, Cache, Budget, Refs);
     if (!B)
       return false;
     if (B->Lower && B->Upper &&
@@ -581,9 +581,10 @@ void DependenceAnalysis::analyzePair(const LoopNest &Nest,
     D.ArrayId = A.ArrayId;
     D.Kind = Kind;
     D.Level = Level;
+    ProjectionWalk Walk(CS);
     for (unsigned J = 0; J != L; ++J) {
       auto Bounds =
-          cachedBounds(CS, DS.distVar(J), Key, Cache, PairBudget,
+          cachedBounds(Walk, DS.distVar(J), Key, Cache, PairBudget,
                        &Res.CacheRefs);
       DepComponent Comp = DepComponent::dir(DepComponent::Dir::Star);
       if (Bounds) {

@@ -101,12 +101,14 @@ void ConstraintSystem::addInequality(const Vector &Coeffs,
   assert(Coeffs.size() == NumVars && "constraint arity mismatch");
   Constraints.push_back(
       {Coeffs, Const, LinearConstraint::Kind::Inequality});
+  Simplified = false;
 }
 
 void ConstraintSystem::addEquality(const Vector &Coeffs,
                                    const Rational &Const) {
   assert(Coeffs.size() == NumVars && "constraint arity mismatch");
   Constraints.push_back({Coeffs, Const, LinearConstraint::Kind::Equality});
+  Simplified = false;
 }
 
 void ConstraintSystem::addLowerBound(unsigned Var, const Rational &Lo) {
@@ -121,17 +123,45 @@ void ConstraintSystem::addUpperBound(unsigned Var, const Rational &Hi) {
   addInequality(C, Hi);
 }
 
-void ConstraintSystem::simplify() {
+void ConstraintSystem::simplify(const RowFlags *Untouched) {
   // Normalize each constraint in place to its canonical integer form (scale
   // by lcm(dens)/gcd(nums); equalities additionally get a positive leading
   // coefficient, inequalities keep their direction with a positive scale),
   // then deduplicate by exact value via a hash prefilter.
+  if (Untouched && !Simplified)
+    Untouched = nullptr; // Untouched rows are canonical only if we were.
   Storage Out;
   SmallVec<uint64_t, 16> Hashes;
-  for (LinearConstraint &C : Constraints) {
+  // Indices into Out of the rows with a variable this pass normalized: an
+  // untouched row can only duplicate one of those.
+  SmallVec<uint32_t, 16> Rewritten;
+  auto IsDup = [&](const LinearConstraint &C, uint64_t H, bool OnlyRewritten) {
+    if (OnlyRewritten) {
+      for (uint32_t I : Rewritten)
+        if (Hashes[I] == H && rowsEqual(Out[I], C))
+          return true;
+      return false;
+    }
+    for (uint32_t I = 0; I != Out.size(); ++I)
+      if (Hashes[I] == H && rowsEqual(Out[I], C))
+        return true;
+    return false;
+  };
+  for (uint32_t Row = 0; Row != Constraints.size(); ++Row) {
+    LinearConstraint &C = Constraints[Row];
+    if (Untouched && (*Untouched)[Row]) {
+      // Already canonical and never trivially true. A trivially false row
+      // never dedups; it cannot match a rewritten row with a variable.
+      uint64_t H = hashRow(C);
+      if (IsDup(C, H, /*OnlyRewritten=*/true))
+        continue;
+      Hashes.push_back(H);
+      Out.push_back(std::move(C));
+      continue;
+    }
+    auto Lead = C.Coeffs.firstNonZero();
     // Drop trivially true rows (0 >= nonneg / 0 == 0); keep trivially false
     // rows so feasibility checks can see them (they never dedup).
-    auto Lead = C.Coeffs.firstNonZero();
     if (!Lead) {
       bool Trivial = C.CKind == LinearConstraint::Kind::Equality
                          ? C.Const.isZero()
@@ -170,28 +200,49 @@ void ConstraintSystem::simplify() {
       C.Const *= Scale;
     }
     uint64_t H = hashRow(C);
-    bool Dup = false;
-    for (uint32_t I = 0; I != Out.size(); ++I)
-      if (Hashes[I] == H && rowsEqual(Out[I], C)) {
-        Dup = true;
-        break;
-      }
-    if (!Dup) {
+    if (!IsDup(C, H, /*OnlyRewritten=*/false)) {
+      Rewritten.push_back(Out.size());
       Hashes.push_back(H);
       Out.push_back(std::move(C));
     }
   }
   Constraints = std::move(Out);
+  Simplified = true;
 }
 
-Status ConstraintSystem::eliminateImpl(unsigned Var, ResourceBudget *Budget) {
-  assert(Var < NumVars && "variable out of range");
+Status ConstraintSystem::replayCharges(const EliminationCharges &C,
+                                       ResourceBudget *Budget) {
+  // Mirrors the budget calls of eliminateImpl, call for call.
   if (Status S = FpFmEliminate.evaluate(Budget); !S)
     return S;
+  if (!Budget)
+    return Status::ok();
+  if (Status S = Budget->chargeEliminationSteps(C.Rows); !S)
+    return S;
+  if (!C.Paired)
+    return Status::ok();
+  if (Status S = Budget->chargeEliminationSteps(C.Pairs); !S)
+    return S;
+  return Budget->checkConstraintCount(C.Count);
+}
+
+Status ConstraintSystem::eliminateImpl(unsigned Var, ResourceBudget *Budget,
+                                       EliminationCharges *Charges) {
+  assert(Var < NumVars && "variable out of range");
+  // Cleared until the closing simplify: any early exit leaves it clear.
+  const bool WasSimplified = Simplified;
+  Simplified = false;
+  if (Status S = FpFmEliminate.evaluate(Budget); !S)
+    return S;
+  EliminationCharges C;
+  C.Rows = Constraints.size();
+  if (Charges)
+    *Charges = C;
   if (Budget) {
-    if (Status S = Budget->chargeEliminationSteps(Constraints.size()); !S)
+    if (Status S = Budget->chargeEliminationSteps(C.Rows); !S)
       return S;
   }
+  RowFlags Untouched;
   // If an equality mentions Var, substitute it into everything else.
   for (unsigned I = 0; I != Constraints.size(); ++I) {
     LinearConstraint &Eq = Constraints[I];
@@ -204,19 +255,21 @@ Status ConstraintSystem::eliminateImpl(unsigned Var, ResourceBudget *Budget) {
     for (unsigned J = 0; J != Constraints.size(); ++J) {
       if (J == I)
         continue;
-      LinearConstraint C = std::move(Constraints[J]);
-      Rational B = C.Coeffs[Var];
+      LinearConstraint Row = std::move(Constraints[J]);
+      Rational B = Row.Coeffs[Var];
       if (!B.isZero()) {
-        // C <- C - (B/A) * Eq zeroes the Var coefficient; legal for both
-        // kinds since Eq is an equality.
+        // Row <- Row - (B/A) * Eq zeroes the Var coefficient; legal for
+        // both kinds since Eq is an equality.
         Rational NegF = -(B / A);
-        C.Coeffs.addScaled(Eq.Coeffs, NegF);
-        C.Const += Eq.Const * NegF;
+        Row.Coeffs.addScaled(Eq.Coeffs, NegF);
+        Row.Const += Eq.Const * NegF;
       }
-      Out.push_back(std::move(C));
+      Untouched.push_back(B.isZero());
+      Out.push_back(std::move(Row));
     }
     Constraints = std::move(Out);
-    simplify();
+    Simplified = WasSimplified;
+    simplify(&Untouched);
     return Status::ok();
   }
 
@@ -228,24 +281,33 @@ Status ConstraintSystem::eliminateImpl(unsigned Var, ResourceBudget *Budget) {
   const bool AllInt = GFmIntegerFastPath.load(std::memory_order_relaxed) &&
                       isIntegralSystem(Constraints);
   SmallVec<uint32_t, 32> LowerIdx, UpperIdx;
-  Storage Others;
+  uint32_t NumOthers = 0;
   for (uint32_t I = 0; I != Constraints.size(); ++I) {
     const Rational &A = Constraints[I].Coeffs[Var];
     if (A.isZero())
-      Others.push_back(std::move(Constraints[I]));
+      ++NumOthers;
     else if (A > Rational(0))
       LowerIdx.push_back(I); // a*x + rest >= 0 with a>0: lower bound on x.
     else
       UpperIdx.push_back(I);
   }
+  C.Paired = true;
+  C.Pairs = static_cast<uint64_t>(LowerIdx.size()) * UpperIdx.size();
+  C.Count = NumOthers + C.Pairs;
+  if (Charges)
+    *Charges = C;
   if (Budget) {
-    uint64_t Pairs =
-        static_cast<uint64_t>(LowerIdx.size()) * UpperIdx.size();
-    if (Status S = Budget->chargeEliminationSteps(Pairs); !S)
+    if (Status S = Budget->chargeEliminationSteps(C.Pairs); !S)
       return S;
-    if (Status S = Budget->checkConstraintCount(Others.size() + Pairs); !S)
+    if (Status S = Budget->checkConstraintCount(C.Count); !S)
       return S;
   }
+  Storage Others;
+  for (uint32_t I = 0; I != Constraints.size(); ++I)
+    if (Constraints[I].Coeffs[Var].isZero()) {
+      Untouched.push_back(1);
+      Others.push_back(std::move(Constraints[I]));
+    }
   for (uint32_t LI : LowerIdx)
     for (uint32_t UI : UpperIdx) {
       const LinearConstraint &L = Constraints[LI];
@@ -253,32 +315,34 @@ Status ConstraintSystem::eliminateImpl(unsigned Var, ResourceBudget *Budget) {
       // Combine with positive multipliers to cancel Var.
       Rational AL = L.Coeffs[Var];    // > 0
       Rational AU = (-U.Coeffs[Var]); // > 0
-      LinearConstraint C;
-      C.CKind = LinearConstraint::Kind::Inequality;
+      LinearConstraint Row;
+      Row.CKind = LinearConstraint::Kind::Inequality;
       if (AllInt) {
         const int64_t Al = AL.num(), Au = AU.num();
-        C.Coeffs = Vector(NumVars);
+        Row.Coeffs = Vector(NumVars);
         for (unsigned I = 0; I != NumVars; ++I) {
           int64_t P1 =
               narrowChecked(static_cast<__int128>(L.Coeffs[I].num()) * Au);
           int64_t P2 =
               narrowChecked(static_cast<__int128>(U.Coeffs[I].num()) * Al);
-          C.Coeffs[I] =
+          Row.Coeffs[I] =
               Rational(narrowChecked(static_cast<__int128>(P1) + P2));
         }
         int64_t Q1 = narrowChecked(static_cast<__int128>(L.Const.num()) * Au);
         int64_t Q2 = narrowChecked(static_cast<__int128>(U.Const.num()) * Al);
-        C.Const = Rational(narrowChecked(static_cast<__int128>(Q1) + Q2));
+        Row.Const = Rational(narrowChecked(static_cast<__int128>(Q1) + Q2));
       } else {
-        C.Coeffs = L.Coeffs;
-        C.Coeffs.scaleBy(AU);
-        C.Coeffs.addScaled(U.Coeffs, AL);
-        C.Const = L.Const * AU + U.Const * AL;
+        Row.Coeffs = L.Coeffs;
+        Row.Coeffs.scaleBy(AU);
+        Row.Coeffs.addScaled(U.Coeffs, AL);
+        Row.Const = L.Const * AU + U.Const * AL;
       }
-      Others.push_back(std::move(C));
+      Untouched.push_back(0);
+      Others.push_back(std::move(Row));
     }
   Constraints = std::move(Others);
-  simplify();
+  Simplified = WasSimplified;
+  simplify(&Untouched);
   return Status::ok();
 }
 
@@ -337,39 +401,20 @@ ConstraintSystem::isRationallyFeasible(ResourceBudget *Budget) const {
   }
 }
 
-Status
-ConstraintSystem::boundsOfImpl(unsigned Var, ResourceBudget *Budget,
-                               std::optional<VariableBounds> &Result) const {
-  // Projection scratch lives on the arena; only plain bounds escape.
-  ArenaScope Scope;
-  ConstraintSystem Copy = *this;
-  for (unsigned V = 0; V != NumVars; ++V)
-    if (V != Var)
-      if (Status S = Copy.eliminateImpl(V, Budget); !S)
-        return S;
-  Result = Copy.readBoundsOf(Var);
-  return Status::ok();
-}
-
 std::optional<VariableBounds>
 ConstraintSystem::boundsOf(unsigned Var) const {
-  std::optional<VariableBounds> Result;
-  Status S = boundsOfImpl(Var, nullptr, Result);
-  (void)S;
-  assert(S.isOk() && "unbudgeted projection cannot run out of budget");
-  return Result;
+  Expected<std::optional<VariableBounds>> E =
+      ProjectionWalk(*this).boundsOf(Var, nullptr);
+  // Unbudgeted projection cannot run out of budget; what remains is
+  // overflow or an injected fault, thrown like eliminate(Var) throws them.
+  if (!E.hasValue())
+    throw AlpException(E.status());
+  return E.takeValue();
 }
 
 Expected<std::optional<VariableBounds>>
 ConstraintSystem::boundsOf(unsigned Var, ResourceBudget *Budget) const {
-  try {
-    std::optional<VariableBounds> Result;
-    if (Status S = boundsOfImpl(Var, Budget, Result); !S)
-      return S;
-    return Result;
-  } catch (const AlpException &E) {
-    return E.status();
-  }
+  return ProjectionWalk(*this).boundsOf(Var, Budget);
 }
 
 std::optional<VariableBounds>
@@ -419,4 +464,117 @@ std::string ConstraintSystem::str() const {
   for (const LinearConstraint &C : Constraints)
     OS << C.str() << '\n';
   return OS.str();
+}
+
+//===----------------------------------------------------------------------===//
+// ProjectionWalk
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The two arenas the calling thread's projection walks keep their prefix
+/// state in, and how many walks are alive on the thread.
+struct WalkArenas {
+  Arena Slot[2];
+  unsigned LiveWalks = 0;
+};
+
+WalkArenas &walkArenas() {
+  thread_local WalkArenas W;
+  return W;
+}
+
+/// Makes \p A the calling thread's current arena for one scope, without
+/// marking or rewinding it.
+class CurrentArenaScope {
+public:
+  explicit CurrentArenaScope(Arena *A) : Prev(Arena::setCurrent(A)) {}
+  ~CurrentArenaScope() { Arena::setCurrent(Prev); }
+  CurrentArenaScope(const CurrentArenaScope &) = delete;
+  CurrentArenaScope &operator=(const CurrentArenaScope &) = delete;
+
+private:
+  Arena *Prev;
+};
+
+} // namespace
+
+ProjectionWalk::ProjectionWalk(const ConstraintSystem &CS)
+    : Source(CS), Prefix(CS.numVars()) {
+  WalkArenas &W = walkArenas();
+  for (unsigned I = 0; I != 2; ++I) {
+    Slots[I] = &W.Slot[I];
+    Base[I] = Slots[I]->mark();
+  }
+  Depth = ++W.LiveWalks;
+  // Sized up front: a later growth would land in whatever arena is
+  // current at the time, possibly one of the prefix slots.
+  Log.reserve(CS.numVars());
+}
+
+ProjectionWalk::~ProjectionWalk() {
+  // Release Prefix's arena storage before rewinding the slots under it.
+  Prefix = ConstraintSystem(Source.numVars());
+  for (unsigned I = 0; I != 2; ++I)
+    Slots[I]->rewind(Base[I]);
+  --walkArenas().LiveWalks;
+}
+
+Status ProjectionWalk::advanceTo(unsigned Var, ResourceBudget *Budget) {
+  if (Built == Var)
+    return Status::ok();
+  assert(Depth == walkArenas().LiveWalks &&
+         "projection walks on one thread must not interleave");
+  // Build S_Var in the other slot, starting from a copy of S_Built; the
+  // slot's previous contents (S from two advances ago) are dead.
+  const unsigned Next = 1 - Cur;
+  Slots[Next]->rewind(Base[Next]);
+  CurrentArenaScope InSlot(Slots[Next]);
+  ConstraintSystem Work = prefix();
+  const uint32_t LogSize = Log.size();
+  // On failure the partial advance is dropped, log entries included: the
+  // next projection redoes those eliminations live, charging them again
+  // exactly as a from-scratch projection would.
+  try {
+    for (unsigned V = Built; V != Var; ++V) {
+      Log.emplace_back();
+      if (Status S = Work.eliminateImpl(V, Budget, &Log.back()); !S) {
+        Log.resize(LogSize);
+        return S;
+      }
+    }
+  } catch (...) {
+    Log.resize(LogSize);
+    throw;
+  }
+  Prefix = std::move(Work);
+  Built = Var;
+  Cur = Next;
+  return Status::ok();
+}
+
+Expected<std::optional<VariableBounds>>
+ProjectionWalk::boundsOf(unsigned Var, ResourceBudget *Budget) {
+  assert(Var < Source.numVars() && "variable out of range");
+  assert(Var >= NextVar && "projection walk variables must rise");
+  NextVar = Var + 1;
+  try {
+    // Charge what earlier projections already eliminated for this one.
+    for (const Charges &C : Log)
+      if (Status S = ConstraintSystem::replayCharges(C, Budget); !S)
+        return S;
+    if (Status S = advanceTo(Var, Budget); !S)
+      return S;
+    if (Var + 1 == Source.numVars())
+      return prefix().readBoundsOf(Var); // No suffix: nothing to copy.
+    // Projection scratch lives on the arena; only plain bounds escape.
+    ArenaScope Scope;
+    ConstraintSystem Copy = prefix();
+    for (unsigned V = Var + 1; V < Source.numVars(); ++V)
+      if (Status S = Copy.eliminateImpl(V, Budget); !S)
+        return S;
+    return Copy.readBoundsOf(Var);
+  } catch (const AlpException &E) {
+    return E.status();
+  }
 }

@@ -13,20 +13,28 @@
 //    operators at and beyond the int64 overflow boundary — same values
 //    in range, same RationalOverflow out of range;
 //  * the linalg.matrix.alloc failpoint still fires on the spill path of
-//    a grown projection.
+//    a grown projection;
+//  * a ProjectionWalk answers, charges the budget, trips, faults and
+//    overflows exactly like independent from-scratch projections;
+//  * incremental simplify (after an elimination of a simplified system)
+//    yields the same rows, in the same order, as a fresh system.
 //
 //===----------------------------------------------------------------------===//
 
 #include "linalg/FourierMotzkin.h"
 #include "linalg/Matrix.h"
 #include "support/Arena.h"
+#include "support/Budget.h"
 #include "support/FailPoint.h"
 #include "support/Rng.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
+#include <numeric>
 #include <optional>
+#include <string>
 #include <vector>
 
 using namespace alp;
@@ -497,6 +505,399 @@ TEST(LinalgPropertyTest, MatrixAllocFailpointFiresOnGrownProjection) {
   }
   FailPointRegistry::instance().reset();
   EXPECT_TRUE(Fired);
+}
+
+//===----------------------------------------------------------------------===//
+// Projection walk: against the from-scratch projection it replaced — copy
+// the system, eliminate every other variable in index order, read the
+// bounds — run once per variable on one budget.
+//===----------------------------------------------------------------------===//
+
+/// Bounds of an eliminated system, read as ConstraintSystem::boundsOf reads
+/// them (only constraints whose sole surviving variable is Var count).
+std::optional<VariableBounds> refReadBounds(const ConstraintSystem &CS,
+                                            unsigned Var) {
+  VariableBounds B;
+  for (const LinearConstraint &C : CS.constraints()) {
+    const Rational &A = C.Coeffs[Var];
+    if (A.isZero()) {
+      bool Holds = C.CKind == LinearConstraint::Kind::Equality
+                       ? C.Const.isZero()
+                       : C.Const >= Rational(0);
+      if (!Holds)
+        return std::nullopt;
+      continue;
+    }
+    Rational V0 = -C.Const / A;
+    if (C.CKind == LinearConstraint::Kind::Equality) {
+      if ((B.Lower && *B.Lower > V0) || (B.Upper && *B.Upper < V0))
+        return std::nullopt;
+      B.Lower = B.Upper = V0;
+    } else if (A > Rational(0)) {
+      if (!B.Lower || *B.Lower < V0)
+        B.Lower = V0;
+    } else if (!B.Upper || *B.Upper > V0) {
+      B.Upper = V0;
+    }
+  }
+  if (B.Lower && B.Upper && *B.Lower > *B.Upper)
+    return std::nullopt;
+  return B;
+}
+
+std::string boundsStr(const std::optional<VariableBounds> &B) {
+  if (!B)
+    return "<infeasible>";
+  return (B->Lower ? B->Lower->str() : "-inf") + " .. " +
+         (B->Upper ? B->Upper->str() : "+inf");
+}
+
+/// One projection's outcome plus the budget's step counter after it.
+struct Outcome {
+  std::string Answer;
+  uint64_t Used;
+  bool operator==(const Outcome &O) const {
+    return Answer == O.Answer && Used == O.Used;
+  }
+};
+
+std::ostream &operator<<(std::ostream &OS, const Outcome &O) {
+  return OS << O.Answer << " [used " << O.Used << "]";
+}
+
+uint64_t usedSteps(const ResourceBudget *B) {
+  return B ? B->UsedEliminationSteps.load() : 0;
+}
+
+/// Runs before each axis's projection (arms a failpoint, moves a cap).
+using BeforeAxis = std::function<void(unsigned Var, ResourceBudget *B)>;
+
+/// n independent from-scratch projections on one budget.
+std::vector<Outcome> scratchProjections(const ConstraintSystem &CS,
+                                        ResourceBudget *B,
+                                        const BeforeAxis &Before = {}) {
+  std::vector<Outcome> Out;
+  for (unsigned Var = 0; Var != CS.numVars(); ++Var) {
+    if (Before)
+      Before(Var, B);
+    ConstraintSystem Copy = CS;
+    Status S = Status::ok();
+    try {
+      for (unsigned V = 0; V != CS.numVars() && S.isOk(); ++V)
+        if (V != Var)
+          S = B ? Copy.eliminate(V, B)
+                : (Copy.eliminate(V), Status::ok());
+    } catch (const AlpException &E) {
+      S = E.status();
+    }
+    std::string Answer = "status " + S.str();
+    if (S.isOk()) {
+      try {
+        Answer = boundsStr(refReadBounds(Copy, Var));
+      } catch (const AlpException &E) {
+        Answer = "status " + E.status().str();
+      }
+    }
+    Out.push_back({Answer, usedSteps(B)});
+  }
+  return Out;
+}
+
+/// The same n projections through one ProjectionWalk.
+std::vector<Outcome> walkProjections(const ConstraintSystem &CS,
+                                     ResourceBudget *B,
+                                     const BeforeAxis &Before = {}) {
+  std::vector<Outcome> Out;
+  ProjectionWalk Walk(CS);
+  for (unsigned Var = 0; Var != CS.numVars(); ++Var) {
+    if (Before)
+      Before(Var, B);
+    auto E = Walk.boundsOf(Var, B);
+    Out.push_back({E ? boundsStr(*E) : "status " + E.status().str(),
+                   usedSteps(B)});
+  }
+  return Out;
+}
+
+/// Systems of 2-12 variables with equalities, integral or rational rows.
+ConstraintSystem randomWalkSystem(Rng &G, bool Fractions) {
+  unsigned Vars = 2 + G.nextBelow(11);
+  unsigned Cons = 2 + G.nextBelow(Vars > 8 ? 5 : 8);
+  return randomSystem(G, Vars, Cons, Fractions);
+}
+
+TEST(LinalgPropertyTest, ProjectionWalkMatchesScratchProjectionsUnderBudget) {
+  Rng G(0x9a1c0001);
+  unsigned Trips = 0, Sweeps = 0;
+  for (int Iter = 0; Iter != 60; ++Iter) {
+    ConstraintSystem CS = randomWalkSystem(G, Iter % 2 == 1);
+    // A loose cap keeps blowup systems cheap; within it, same answers and
+    // the same cumulative steps after each axis.
+    ResourceBudget Loose, LooseWalk;
+    Loose.MaxFMConstraints = LooseWalk.MaxFMConstraints = 300;
+    std::vector<Outcome> Ref = scratchProjections(CS, &Loose);
+    ASSERT_EQ(walkProjections(CS, &LooseWalk), Ref) << "iter " << Iter;
+    const uint64_t Total = Loose.UsedEliminationSteps.load();
+    if (Total > 800)
+      continue; // Keep the exhaustive sweeps below cheap.
+    ASSERT_EQ(walkProjections(CS, nullptr), scratchProjections(CS, nullptr))
+        << "iter " << Iter;
+    ++Sweeps;
+    // Every step limit from 0 (unlimited) to the total: same trip point.
+    for (uint64_t Limit = 0; Limit <= Total; ++Limit) {
+      ResourceBudget A, B;
+      A.MaxEliminationSteps = B.MaxEliminationSteps = Limit;
+      std::vector<Outcome> Want = scratchProjections(CS, &A);
+      ASSERT_EQ(walkProjections(CS, &B), Want)
+          << "iter " << Iter << " step limit " << Limit;
+      Trips += Limit && Limit < Total;
+    }
+    // A sweep of constraint caps, alone and with a step limit.
+    for (uint64_t Cap = 1; Cap <= 24; ++Cap) {
+      ResourceBudget A, B;
+      A.MaxFMConstraints = B.MaxFMConstraints = Cap;
+      if (Cap % 3 == 0)
+        A.MaxEliminationSteps = B.MaxEliminationSteps = Total / 2 + 1;
+      ASSERT_EQ(walkProjections(CS, &B), scratchProjections(CS, &A))
+          << "iter " << Iter << " constraint cap " << Cap;
+    }
+  }
+  EXPECT_GT(Sweeps, 25u);
+  EXPECT_GT(Trips, 100u);
+}
+
+TEST(LinalgPropertyTest, ProjectionWalkReplaysCountChecksAgainstTheCurrentCap) {
+  // The replayed constraint-count checks read the budget's cap at replay
+  // time: lowering it between projections trips where from scratch does.
+  Rng G(0x9a1c0004);
+  unsigned Tripped = 0;
+  for (int Iter = 0; Iter != 40; ++Iter) {
+    ConstraintSystem CS = randomWalkSystem(G, Iter % 2 == 1);
+    std::vector<uint64_t> Caps;
+    uint64_t Cap = 40;
+    for (unsigned V = 0; V != CS.numVars(); ++V) {
+      Caps.push_back(Cap);
+      Cap = Cap > 2 ? Cap - 1 - G.nextBelow(Cap / 2) : 1;
+    }
+    BeforeAxis SetCap = [&](unsigned Var, ResourceBudget *B) {
+      B->MaxFMConstraints = Caps[Var];
+    };
+    ResourceBudget A, B;
+    std::vector<Outcome> Want = scratchProjections(CS, &A, SetCap);
+    EXPECT_EQ(walkProjections(CS, &B, SetCap), Want) << "iter " << Iter;
+    Tripped += Want.back().Answer.find("constraint count") !=
+               std::string::npos;
+  }
+  EXPECT_GT(Tripped, 5u);
+}
+
+TEST(LinalgPropertyTest, ProjectionWalkTripsInjectedFaultsAtTheSameProjection) {
+  // linalg.fm.eliminate armed for 1, 2 or 5 hits, from the first axis on
+  // or only from a later one (so replayed evaluations consume the hits).
+  Rng G(0x9a1c0002);
+  for (int Iter = 0; Iter != 12; ++Iter) {
+    ConstraintSystem CS = randomWalkSystem(G, Iter % 2 == 1);
+    const unsigned N = CS.numVars();
+    for (const char *Mode : {"status-error", "throw", "budget-exhaust"})
+      for (int Count : {1, 2, 5})
+        for (unsigned ArmAt : {0u, N / 2, N - 1}) {
+          const std::string Spec = std::string("linalg.fm.eliminate:") +
+                                   Mode + ":" + std::to_string(Count);
+          BeforeAxis Arm = [&](unsigned Var, ResourceBudget *) {
+            if (Var == ArmAt) {
+              EXPECT_TRUE(FailPointRegistry::instance().configureList(Spec));
+            }
+          };
+          auto Run = [&](auto Project) {
+            ResourceBudget B = ResourceBudget::defaults();
+            std::vector<Outcome> Out = Project(CS, &B, Arm);
+            FailPointRegistry::instance().reset();
+            return Out;
+          };
+          std::vector<Outcome> Want = Run(scratchProjections);
+          EXPECT_EQ(Run(walkProjections), Want)
+              << "iter " << Iter << " " << Spec << " armed at axis " << ArmAt;
+          EXPECT_EQ(Want[ArmAt].Answer.rfind("status", 0), 0u) << Spec;
+        }
+  }
+}
+
+TEST(LinalgPropertyTest, ProjectionWalkOverflowsAtTheSameProjection) {
+  // Coefficients near 2^21 overflow int64 after a few cross
+  // multiplications, at a projection that depends on the elimination order.
+  Rng G(0x9a1c0003);
+  unsigned Overflowed = 0, Answered = 0;
+  for (int Iter = 0; Iter != 80; ++Iter) {
+    unsigned Vars = 3 + G.nextBelow(6);
+    unsigned Cons = 3 + G.nextBelow(6);
+    ConstraintSystem CS(Vars);
+    for (unsigned I = 0; I != Cons; ++I) {
+      Vector C(Vars);
+      for (unsigned V = 0; V != Vars; ++V)
+        C[V] = Rational(int64_t(G.nextBelow(1u << 22)) - (1 << 21));
+      Rational K(int64_t(G.nextBelow(1u << 22)) - (1 << 21));
+      if (G.nextBelow(5) == 0)
+        CS.addEquality(C, K);
+      else
+        CS.addInequality(C, K);
+    }
+    EXPECT_EQ(walkProjections(CS, nullptr), scratchProjections(CS, nullptr))
+        << "iter " << Iter;
+    ResourceBudget A, B;
+    std::vector<Outcome> Want = scratchProjections(CS, &A);
+    EXPECT_EQ(walkProjections(CS, &B), Want) << "iter " << Iter;
+    for (const Outcome &O : Want) {
+      bool Overflow = O.Answer.find("rational-overflow") != std::string::npos;
+      Overflowed += Overflow;
+      Answered += !Overflow;
+    }
+  }
+  EXPECT_GT(Overflowed, 20u);
+  EXPECT_GT(Answered, 20u);
+}
+
+//===----------------------------------------------------------------------===//
+// Incremental simplify: eliminating from a simplified system must leave
+// exactly the rows a fresh (never simplified) copy of it leaves.
+//===----------------------------------------------------------------------===//
+
+/// A system holding \p CS's rows, added one by one: simplified flag clear.
+ConstraintSystem freshCopy(const ConstraintSystem &CS) {
+  ConstraintSystem Fresh(CS.numVars());
+  for (const LinearConstraint &C : CS.constraints()) {
+    if (C.CKind == LinearConstraint::Kind::Equality)
+      Fresh.addEquality(C.Coeffs, C.Const);
+    else
+      Fresh.addInequality(C.Coeffs, C.Const);
+  }
+  return Fresh;
+}
+
+void expectSameRows(const ConstraintSystem &A, const ConstraintSystem &B,
+                    const std::string &Where) {
+  ASSERT_EQ(A.size(), B.size()) << Where << "\n" << A.str() << "vs\n"
+                                 << B.str();
+  for (unsigned I = 0; I != A.size(); ++I) {
+    const LinearConstraint &X = A.constraints()[I];
+    const LinearConstraint &Y = B.constraints()[I];
+    EXPECT_TRUE(X.CKind == Y.CKind && X.Const == Y.Const &&
+                X.Coeffs == Y.Coeffs)
+        << Where << " row " << I << ": " << X.str() << " vs " << Y.str();
+  }
+}
+
+/// Coefficients in {-1, 0, 1}: rewritten rows often coincide with
+/// untouched ones, which exercises the incremental dedup.
+ConstraintSystem randomUnitSystem(Rng &G, unsigned Vars, unsigned Cons) {
+  ConstraintSystem CS(Vars);
+  for (unsigned I = 0; I != Cons; ++I) {
+    Vector C(Vars);
+    for (unsigned V = 0; V != Vars; ++V)
+      C[V] = Rational(int64_t(G.nextBelow(3)) - 1);
+    Rational K(int64_t(G.nextBelow(5)) - 2);
+    if (G.nextBelow(3) == 0)
+      CS.addEquality(C, K);
+    else
+      CS.addInequality(C, K);
+  }
+  return CS;
+}
+
+/// simplify's normal form, checked directly: integral rows with coprime
+/// entries, equalities led by a positive coefficient, no trivially true
+/// rows, no duplicate rows with a variable.
+void expectCanonical(const ConstraintSystem &CS, const std::string &Where) {
+  const auto &Rows = CS.constraints();
+  for (unsigned I = 0; I != Rows.size(); ++I) {
+    const LinearConstraint &C = Rows[I];
+    auto Lead = C.Coeffs.firstNonZero();
+    if (!Lead) {
+      bool Holds = C.CKind == LinearConstraint::Kind::Equality
+                       ? C.Const.isZero()
+                       : C.Const >= Rational(0);
+      EXPECT_FALSE(Holds) << Where << ": trivially true row " << C.str();
+      continue;
+    }
+    int64_t Gcd = 0;
+    bool Integral = C.Const.isInteger();
+    for (const Rational &E : C.Coeffs) {
+      Integral = Integral && E.isInteger();
+      Gcd = std::gcd(Gcd, E.num());
+    }
+    Gcd = std::gcd(Gcd, C.Const.num());
+    EXPECT_TRUE(Integral && Gcd == 1) << Where << ": " << C.str();
+    if (C.CKind == LinearConstraint::Kind::Equality) {
+      EXPECT_FALSE(C.Coeffs[*Lead].isNegative()) << Where << ": " << C.str();
+    }
+    for (unsigned J = 0; J != I; ++J)
+      EXPECT_FALSE(Rows[J].CKind == C.CKind && Rows[J].Const == C.Const &&
+                   Rows[J].Coeffs == C.Coeffs)
+          << Where << ": duplicate row " << C.str();
+  }
+}
+
+TEST(LinalgPropertyTest, IncrementalSimplifyDropsUntouchedDuplicateOfRewrite) {
+  // x0 == x1 rewrites x0 - 5 >= 0 into x1 - 5 >= 0, which the untouched
+  // row after it already states: the untouched copy must go, as it does
+  // in a fresh system.
+  ConstraintSystem CS(3);
+  CS.addInequality(Vector{Rational(0), Rational(0), Rational(1)}, Rational(0));
+  CS.addEquality(Vector{Rational(1), Rational(-1), Rational(0)}, Rational(0));
+  CS.addInequality(Vector{Rational(1), Rational(0), Rational(0)}, Rational(-5));
+  CS.addInequality(Vector{Rational(0), Rational(1), Rational(0)}, Rational(-5));
+  CS.addInequality(Vector{Rational(0), Rational(-1), Rational(0)}, Rational(9));
+  CS.eliminate(2); // Now simplified: the next elimination is incremental.
+  ConstraintSystem Fresh = freshCopy(CS);
+  CS.eliminate(0);
+  Fresh.eliminate(0);
+  expectSameRows(CS, Fresh, "x0 == x1");
+  EXPECT_EQ(CS.size(), 2u) << CS.str();
+}
+
+TEST(LinalgPropertyTest, IncrementalSimplifyMatchesFreshSystem) {
+  Rng G(0x51e0f001);
+  unsigned Steps = 0, TripsResumed = 0;
+  for (int Iter = 0; Iter != 150; ++Iter) {
+    unsigned Vars = 2 + G.nextBelow(6);
+    unsigned Cons = 2 + G.nextBelow(9);
+    ConstraintSystem CS = Iter % 3 == 2
+                              ? randomUnitSystem(G, Vars, Cons)
+                              : randomSystem(G, Vars, Cons, Iter % 3 == 1);
+    // Eliminate in a random order; now and then let a constraint cap or
+    // step limit trip mid-elimination first.
+    std::vector<unsigned> Order;
+    for (unsigned V = 0; V != Vars; ++V)
+      Order.insert(Order.begin() + G.nextBelow(Order.size() + 1), V);
+    for (unsigned Var : Order) {
+      const std::string Where =
+          "iter " + std::to_string(Iter) + " var " + std::to_string(Var);
+      if (G.nextBelow(4) == 0) {
+        ConstraintSystem Before = freshCopy(CS);
+        ResourceBudget Tight;
+        Tight.MaxFMConstraints = 1 + G.nextBelow(3);
+        Tight.MaxEliminationSteps = 1 + G.nextBelow(4);
+        if (!CS.eliminate(Var, &Tight).isOk()) {
+          // A trip leaves the rows as they were; carry on from there.
+          expectSameRows(CS, Before, Where + " after trip");
+          ++TripsResumed;
+        }
+      }
+      // A loose cap stops blowup systems early (identically on both).
+      ConstraintSystem Fresh = freshCopy(CS);
+      ResourceBudget LooseA, LooseB;
+      LooseA.MaxFMConstraints = LooseB.MaxFMConstraints = 200;
+      Status Got = CS.eliminate(Var, &LooseA);
+      Status Want = Fresh.eliminate(Var, &LooseB);
+      ASSERT_EQ(Got.str(), Want.str()) << Where;
+      if (!Got.isOk())
+        break; // Capped or overflowed: stop this system here.
+      expectSameRows(CS, Fresh, Where);
+      expectCanonical(CS, Where);
+      ++Steps;
+    }
+  }
+  EXPECT_GT(Steps, 500u);
+  EXPECT_GT(TripsResumed, 20u);
 }
 
 } // namespace
