@@ -19,6 +19,12 @@
 /// carrying level, and extracts a dependence vector whose components are
 /// exact distances where the polyhedron pins them and directions otherwise.
 ///
+/// Tier 2's per-axis refinement projects each per-level system onto every
+/// one of its variables through one ProjectionWalk (linalg/FourierMotzkin.h):
+/// the axes share the elimination prefix, and each projection replays the
+/// budget charges of the prefix it reuses, so the budget sees exactly the
+/// charges of independent from-scratch projections.
+///
 /// Tier-2 bounds projections are memoized through a DependenceCache keyed
 /// by canonical constraint-system keys (linalg/SystemKey.h): same-shape
 /// access pairs — the common case in stencil codes — share one projection.

@@ -128,8 +128,6 @@ void ConstraintSystem::simplify(const RowFlags *Untouched) {
   // by lcm(dens)/gcd(nums); equalities additionally get a positive leading
   // coefficient, inequalities keep their direction with a positive scale),
   // then deduplicate by exact value via a hash prefilter.
-  if (Untouched && !Simplified)
-    Untouched = nullptr; // Untouched rows are canonical only if we were.
   Storage Out;
   SmallVec<uint64_t, 16> Hashes;
   // Indices into Out of the rows with a variable this pass normalized: an
@@ -234,12 +232,10 @@ Status ConstraintSystem::eliminateImpl(unsigned Var, ResourceBudget *Budget,
   Simplified = false;
   if (Status S = FpFmEliminate.evaluate(Budget); !S)
     return S;
-  EliminationCharges C;
-  C.Rows = Constraints.size();
-  if (Charges)
-    *Charges = C;
+  EliminationCharges Calls;
+  Calls.Rows = Constraints.size();
   if (Budget) {
-    if (Status S = Budget->chargeEliminationSteps(C.Rows); !S)
+    if (Status S = Budget->chargeEliminationSteps(Calls.Rows); !S)
       return S;
   }
   RowFlags Untouched;
@@ -249,27 +245,28 @@ Status ConstraintSystem::eliminateImpl(unsigned Var, ResourceBudget *Budget,
     if (Eq.CKind != LinearConstraint::Kind::Equality ||
         Eq.Coeffs[Var].isZero())
       continue;
+    if (Charges)
+      *Charges = Calls;
     Rational A = Eq.Coeffs[Var];
     Storage Out;
     Out.reserve(Constraints.size() ? Constraints.size() - 1 : 0);
     for (unsigned J = 0; J != Constraints.size(); ++J) {
       if (J == I)
         continue;
-      LinearConstraint Row = std::move(Constraints[J]);
-      Rational B = Row.Coeffs[Var];
+      LinearConstraint C = std::move(Constraints[J]);
+      Rational B = C.Coeffs[Var];
       if (!B.isZero()) {
-        // Row <- Row - (B/A) * Eq zeroes the Var coefficient; legal for
-        // both kinds since Eq is an equality.
+        // C <- C - (B/A) * Eq zeroes the Var coefficient; legal for both
+        // kinds since Eq is an equality.
         Rational NegF = -(B / A);
-        Row.Coeffs.addScaled(Eq.Coeffs, NegF);
-        Row.Const += Eq.Const * NegF;
+        C.Coeffs.addScaled(Eq.Coeffs, NegF);
+        C.Const += Eq.Const * NegF;
       }
       Untouched.push_back(B.isZero());
-      Out.push_back(std::move(Row));
+      Out.push_back(std::move(C));
     }
     Constraints = std::move(Out);
-    Simplified = WasSimplified;
-    simplify(&Untouched);
+    simplify(WasSimplified ? &Untouched : nullptr);
     return Status::ok();
   }
 
@@ -291,15 +288,15 @@ Status ConstraintSystem::eliminateImpl(unsigned Var, ResourceBudget *Budget,
     else
       UpperIdx.push_back(I);
   }
-  C.Paired = true;
-  C.Pairs = static_cast<uint64_t>(LowerIdx.size()) * UpperIdx.size();
-  C.Count = NumOthers + C.Pairs;
+  Calls.Paired = true;
+  Calls.Pairs = static_cast<uint64_t>(LowerIdx.size()) * UpperIdx.size();
+  Calls.Count = NumOthers + Calls.Pairs;
   if (Charges)
-    *Charges = C;
+    *Charges = Calls;
   if (Budget) {
-    if (Status S = Budget->chargeEliminationSteps(C.Pairs); !S)
+    if (Status S = Budget->chargeEliminationSteps(Calls.Pairs); !S)
       return S;
-    if (Status S = Budget->checkConstraintCount(C.Count); !S)
+    if (Status S = Budget->checkConstraintCount(Calls.Count); !S)
       return S;
   }
   Storage Others;
@@ -315,34 +312,33 @@ Status ConstraintSystem::eliminateImpl(unsigned Var, ResourceBudget *Budget,
       // Combine with positive multipliers to cancel Var.
       Rational AL = L.Coeffs[Var];    // > 0
       Rational AU = (-U.Coeffs[Var]); // > 0
-      LinearConstraint Row;
-      Row.CKind = LinearConstraint::Kind::Inequality;
+      LinearConstraint C;
+      C.CKind = LinearConstraint::Kind::Inequality;
       if (AllInt) {
         const int64_t Al = AL.num(), Au = AU.num();
-        Row.Coeffs = Vector(NumVars);
+        C.Coeffs = Vector(NumVars);
         for (unsigned I = 0; I != NumVars; ++I) {
           int64_t P1 =
               narrowChecked(static_cast<__int128>(L.Coeffs[I].num()) * Au);
           int64_t P2 =
               narrowChecked(static_cast<__int128>(U.Coeffs[I].num()) * Al);
-          Row.Coeffs[I] =
+          C.Coeffs[I] =
               Rational(narrowChecked(static_cast<__int128>(P1) + P2));
         }
         int64_t Q1 = narrowChecked(static_cast<__int128>(L.Const.num()) * Au);
         int64_t Q2 = narrowChecked(static_cast<__int128>(U.Const.num()) * Al);
-        Row.Const = Rational(narrowChecked(static_cast<__int128>(Q1) + Q2));
+        C.Const = Rational(narrowChecked(static_cast<__int128>(Q1) + Q2));
       } else {
-        Row.Coeffs = L.Coeffs;
-        Row.Coeffs.scaleBy(AU);
-        Row.Coeffs.addScaled(U.Coeffs, AL);
-        Row.Const = L.Const * AU + U.Const * AL;
+        C.Coeffs = L.Coeffs;
+        C.Coeffs.scaleBy(AU);
+        C.Coeffs.addScaled(U.Coeffs, AL);
+        C.Const = L.Const * AU + U.Const * AL;
       }
       Untouched.push_back(0);
-      Others.push_back(std::move(Row));
+      Others.push_back(std::move(C));
     }
   Constraints = std::move(Others);
-  Simplified = WasSimplified;
-  simplify(&Untouched);
+  simplify(WasSimplified ? &Untouched : nullptr);
   return Status::ok();
 }
 

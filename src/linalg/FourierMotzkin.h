@@ -5,7 +5,9 @@
 /// equalities a.x + c == 0) with Fourier-Motzkin variable elimination.
 /// Dependence analysis builds the dependence polyhedron here and asks for
 /// rational feasibility and per-variable bounds; loop transforms use bounds
-/// projection when reasoning about tiled iteration spaces.
+/// projection when reasoning about tiled iteration spaces. Every bounds
+/// projection runs through a ProjectionWalk, which projects one system onto
+/// a rising sequence of its variables while sharing the elimination prefix.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -77,9 +79,10 @@ public:
   void eliminate(unsigned Var);
 
   /// Budgeted elimination: charges lower x upper pair combinations against
-  /// \p Budget and fails with BudgetExceeded when a limit trips (the system
-  /// is left in an unspecified but valid intermediate state) or
-  /// RationalOverflow when 64-bit arithmetic blows up. Never throws.
+  /// \p Budget and fails with BudgetExceeded when a limit trips (every
+  /// charge comes before any row changes, so the system is left as it was)
+  /// or RationalOverflow when 64-bit arithmetic blows up (the system is
+  /// then spent). Never throws.
   Status eliminate(unsigned Var, ResourceBudget *Budget);
 
   /// True if the system has a rational solution. Runs FM elimination on a
@@ -133,7 +136,8 @@ private:
   /// Shared elimination body: may throw AlpException on overflow; returns
   /// BudgetExceeded when \p Budget (nullable) trips. Every budget call
   /// happens before the rows change, so a trip leaves the system as it
-  /// was. \p Charges (nullable) receives the budget calls made.
+  /// was. \p Charges (nullable) receives the budget calls once they have
+  /// all passed.
   Status eliminateImpl(unsigned Var, ResourceBudget *Budget,
                        EliminationCharges *Charges = nullptr);
 
@@ -148,11 +152,12 @@ private:
 
   /// Normalizes every row to its canonical integer form, drops trivially
   /// true rows and duplicates (first occurrence wins), keeps trivially
-  /// false rows. Incremental when \p Untouched is given and the system
-  /// was simplified before the elimination that produced the rows: an
-  /// untouched row is already canonical and distinct from the other
-  /// untouched rows, so it is only checked against earlier rewritten
-  /// rows, never renormalized. Either way the result is the same.
+  /// false rows. Incremental when \p Untouched is given, which the caller
+  /// may do only if the system was simplified before the elimination that
+  /// produced the rows: an untouched row is then already canonical and
+  /// distinct from the other untouched rows, so it is only checked against
+  /// earlier rewritten rows, never renormalized. Either way the result is
+  /// the same.
   void simplify(const RowFlags *Untouched = nullptr);
 };
 
@@ -168,8 +173,9 @@ private:
 /// before its own live eliminations. A projection therefore charges the
 /// same steps in the same order as from scratch, trips at the same call
 /// and overflows at the same elimination; budget gauges and degradations
-/// do not depend on the walk. A failed prefix advance is discarded, so
-/// the next projection redoes (and recharges) it live, as from scratch.
+/// do not depend on the walk. Replayed count checks read the budget's cap
+/// as it is at replay time. A failed prefix advance is discarded, so the
+/// next projection redoes (and recharges) it live, as from scratch.
 ///
 /// The prefix lives in two thread-local arenas used alternately: advancing
 /// copies S_k out of one into the other and eliminates there, so the
@@ -203,7 +209,7 @@ private:
   Arena *Slots[2];                  ///< Prefix arenas; Prefix is in Cur.
   Arena::Mark Base[2];              ///< Rewind points at construction.
   unsigned Cur = 0;
-  unsigned Depth;                   ///< Nesting depth, for the no-interleave check.
+  unsigned Depth;                   ///< Nesting depth; walks must not interleave.
 };
 
 } // namespace alp
