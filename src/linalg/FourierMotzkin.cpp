@@ -527,21 +527,14 @@ Status ProjectionWalk::advanceTo(unsigned Var, ResourceBudget *Budget) {
   Slots[Next]->rewind(Base[Next]);
   CurrentArenaScope InSlot(Slots[Next]);
   ConstraintSystem Work = prefix();
-  const uint32_t LogSize = Log.size();
-  // On failure the partial advance is dropped, log entries included: the
-  // next projection redoes those eliminations live, charging them again
+  // Entries past Built are from an advance that failed. It was dropped:
+  // this projection redoes those eliminations live, charging them again
   // exactly as a from-scratch projection would.
-  try {
-    for (unsigned V = Built; V != Var; ++V) {
-      Log.emplace_back();
-      if (Status S = Work.eliminateImpl(V, Budget, &Log.back()); !S) {
-        Log.resize(LogSize);
-        return S;
-      }
-    }
-  } catch (...) {
-    Log.resize(LogSize);
-    throw;
+  Log.resize(Built);
+  for (unsigned V = Built; V != Var; ++V) {
+    Log.emplace_back();
+    if (Status S = Work.eliminateImpl(V, Budget, &Log.back()); !S)
+      return S;
   }
   Prefix = std::move(Work);
   Built = Var;
@@ -556,8 +549,8 @@ ProjectionWalk::boundsOf(unsigned Var, ResourceBudget *Budget) {
   NextVar = Var + 1;
   try {
     // Charge what earlier projections already eliminated for this one.
-    for (const Charges &C : Log)
-      if (Status S = ConstraintSystem::replayCharges(C, Budget); !S)
+    for (unsigned V = 0; V != Built; ++V)
+      if (Status S = ConstraintSystem::replayCharges(Log[V], Budget); !S)
         return S;
     if (Status S = advanceTo(Var, Budget); !S)
       return S;

@@ -205,7 +205,7 @@ private:
   ConstraintSystem Prefix;          ///< S_Built; Source stands in for S_0.
   unsigned Built = 0;               ///< Variables eliminated in Prefix.
   unsigned NextVar = 0;             ///< Lowest Var the next call may ask.
-  SmallVec<Charges, 32> Log;        ///< Charges of prefix eliminations.
+  SmallVec<Charges, 32> Log;        ///< Log[V]: charges of eliminating V.
   Arena *Slots[2];                  ///< Prefix arenas; Prefix is in Cur.
   Arena::Mark Base[2];              ///< Rewind points at construction.
   unsigned Cur = 0;

@@ -508,9 +508,9 @@ TEST(LinalgPropertyTest, MatrixAllocFailpointFiresOnGrownProjection) {
 }
 
 //===----------------------------------------------------------------------===//
-// Projection walk: against the from-scratch projection it replaced — copy
-// the system, eliminate every other variable in index order, read the
-// bounds — run once per variable on one budget.
+// Projection walk: against a from-scratch reference projection — copy the
+// system, eliminate every other variable in index order, read the bounds —
+// run once per variable on one budget.
 //===----------------------------------------------------------------------===//
 
 /// Bounds of an eliminated system, read as ConstraintSystem::boundsOf reads
